@@ -184,14 +184,14 @@ class Decision:
             self.dimension)
 
 
-def _lp_generalised(tri, a, b):
+def _lp_generalised(a, b):
     x, y = solve(a, b)
     if x is not None:
         return True, x, None
     return False, None, y
 
 
-def _lp_semi(tri, a, b):
+def _lp_semi(a, b):
     res = solve_lp(a, b, [Fraction(0)] * len(a[0]))
     if res.status == "optimal":
         return True, res.x, None
@@ -199,7 +199,7 @@ def _lp_semi(tri, a, b):
     return False, None, res.y
 
 
-def _lp_strict(tri, a, b):
+def _lp_strict(a, b):
     # x = u + eps * ones with u >= 0: maximising eps over
     # A u + eps (A 1) = b, eps + slack = 1 finds the largest uniform
     # margin; strict solutions exist exactly when it is positive
@@ -224,24 +224,31 @@ def _lp_strict(tri, a, b):
     return False, None, y, "strict"
 
 
-def _semi_dimension(tri, a, b):
-    # drop coordinates pinned to zero on the whole polytope, then the
-    # affine hull is cut out by the equations plus those pins
+def _semi_dimension(a, b, x):
+    """Dimension of the polytope {x >= 0 : A x = b}, given a point x of it.
+
+    A coordinate is pinned when it vanishes on the whole polytope. The
+    support of x is not pinned. Maximising the sum of the coordinates
+    not yet seen positive either adds the support of the optimum to the
+    seen set or reaches 0, which pins every unseen coordinate. The
+    affine hull is then cut out by the equations plus those pins.
+    """
     cols = len(a[0])
-    pinned = []
-    for q in range(cols):
-        cost = [Fraction(0)] * cols
-        cost[q] = Fraction(1)
+    seen = {q for q in range(cols) if x[q] > 0}
+    while len(seen) < cols:
+        cost = [Fraction(0) if q in seen else Fraction(1)
+                for q in range(cols)]
         res = solve_lp(a, b, cost)
-        assert res.status == "optimal"
+        if res.status != "optimal":
+            raise CrossCheckError(
+                "semi polytope with a point gave an LP status %r"
+                % (res.status,))
         if res.value == 0:
-            pinned.append(q)
-    extra = []
-    for q in pinned:
-        row = [Fraction(0)] * cols
-        row[q] = Fraction(1)
-        extra.append(row)
-    return cols - rank(a + extra)
+            break
+        seen.update(q for q in range(cols) if res.x[q] > 0)
+    pins = [[int(j == q) for j in range(cols)]
+            for q in range(cols) if q not in seen]
+    return cols - rank(a + pins)
 
 
 def decide(tri, kind):
@@ -262,11 +269,11 @@ def decide(tri, kind):
     basis = None
     violated = kind
     if kind == "generalised":
-        feasible, x, y = _lp_generalised(tri, a, b)
+        feasible, x, y = _lp_generalised(a, b)
     elif kind == "semi":
-        feasible, x, y = _lp_semi(tri, a, b)
+        feasible, x, y = _lp_semi(a, b)
     else:
-        feasible, x, y, violated = _lp_strict(tri, a, b)
+        feasible, x, y, violated = _lp_strict(a, b)
 
     # the classification theorems live in the ideal-triangulation
     # setting: closed links and no edge identified with itself in
@@ -311,14 +318,19 @@ def decide(tri, kind):
     if feasible:
         witness = AngleAssignment(tri, x)
         if kind == "semi":
-            assert witness.is_semi
-            dimension = _semi_dimension(tri, a, b)
+            if not witness.is_semi:
+                raise CrossCheckError("semi witness has a negative angle")
+            dimension = _semi_dimension(a, b, witness.values)
         else:
-            if kind == "strict":
-                assert witness.is_strict
+            if kind == "strict" and not witness.is_strict:
+                raise CrossCheckError(
+                    "strict witness has a nonpositive angle")
             dimension = 3 * t - rank(a)
-            if torus_klein and not inverted:
-                assert dimension == t + len(tri.vertices)
+            if (torus_klein and not inverted
+                    and dimension != t + len(tri.vertices)):
+                raise CrossCheckError(
+                    "angle space dimension %d, expected t + v = %d"
+                    % (dimension, t + len(tri.vertices)))
     else:
         if basis is None:
             basis = verify_basis(tri)

@@ -585,13 +585,19 @@ def main(argv=None):
                if k not in ("command", "file", "json")}
     try:
         report, status = run(args.command, args.file, options)
+        print(render(report, args.json))
     except CrossCheckError as exc:
         print("internal cross-check failed: %s" % exc, file=sys.stderr)
         return 2
     except (CLIError, TriangulationError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    print(render(report, args.json))
+    except Exception as exc:
+        # status 1 means infeasible, so an unexpected failure must not
+        # escape as a traceback with that status
+        print("internal error: %s: %s" % (type(exc).__name__, exc),
+              file=sys.stderr)
+        return 2
     return status
 
 

@@ -22,20 +22,33 @@ class CWError(ValueError):
     pass
 
 
-class _UnionFind:
+class UnionFind:
+    """Disjoint sets over hashable items, added on first find."""
+
     def __init__(self):
         self.parent = {}
 
     def find(self, x):
-        p = self.parent.setdefault(x, x)
-        if p != x:
-            p = self.parent[x] = self.find(p)
-        return p
+        parent = self.parent
+        root = parent.setdefault(x, x)
+        while parent[root] != root:
+            root = parent[root]
+        while x != root:
+            parent[x], x = root, parent[x]
+        return root
 
     def union(self, a, b):
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
             self.parent[ra] = rb
+
+    def groups(self, items):
+        """The classes met by items, each in item order, ordered by
+        their first item."""
+        out = {}
+        for it in items:
+            out.setdefault(self.find(it), []).append(it)
+        return list(out.values())
 
 
 class CWSurface:
@@ -76,10 +89,7 @@ class CWSurface:
         self.free_sides = tuple(s for s in all_sides if s not in used)
 
         # vertex classes of corners
-        uf = _UnionFind()
-        for c in cells:
-            for cid in c:
-                uf.find(cid)
+        uf = UnionFind()
         for (c1, k1), (c2, k2), flip in self.gluings:
             t1, h1 = self._ends(c1, k1)
             t2, h2 = self._ends(c2, k2)
@@ -89,16 +99,8 @@ class CWSurface:
             else:
                 uf.union(t1, h2)
                 uf.union(h1, t2)
-        groups = {}
-        order = []
-        for c in cells:
-            for cid in c:
-                r = uf.find(cid)
-                if r not in groups:
-                    groups[r] = []
-                    order.append(r)
-                groups[r].append(cid)
-        self.vertices = tuple(tuple(groups[r]) for r in order)
+        self.vertices = tuple(tuple(grp) for grp in
+                              uf.groups(cid for c in cells for cid in c))
         self.vertex_of = {}
         for vi, grp in enumerate(self.vertices):
             for cid in grp:
@@ -116,15 +118,11 @@ class CWSurface:
         self.is_closed = not self.free_sides
 
         # connected components of the cell graph
-        cuf = _UnionFind()
-        for ci in range(len(cells)):
-            cuf.find(ci)
+        cuf = UnionFind()
         for (c1, _), (c2, _), _ in self.gluings:
             cuf.union(c1, c2)
-        comp = {}
-        for ci in range(len(cells)):
-            comp.setdefault(cuf.find(ci), []).append(ci)
-        self.components = tuple(tuple(v) for v in comp.values())
+        self.components = tuple(tuple(grp) for grp in
+                                cuf.groups(range(len(cells))))
         self.is_connected = len(self.components) <= 1
 
         self.orientable = self._orientable()

@@ -127,6 +127,43 @@ def rank(m):
     return len(rref_in_place(work))
 
 
+MERSENNE_61 = (1 << 61) - 1
+
+
+def _rank_mod(rows, p=MERSENNE_61):
+    """Rank over the field Z/p of a matrix with integer entries.
+
+    Rows are reduced one at a time against the pivots found so far,
+    stored sparsely by leading column, so sparse input stays cheap.
+    The rank mod p never exceeds the rank over Q; an unlucky prime can
+    only make it smaller.
+    """
+    pivots = {}
+    for row in rows:
+        r = {}
+        for j, x in enumerate(row):
+            if x.denominator != 1:
+                raise ValueError("non-integer entry %s in column %d" % (x, j))
+            x = int(x) % p
+            if x:
+                r[j] = x
+        while r:
+            lead = min(r)
+            piv = pivots.get(lead)
+            if piv is None:
+                inv = pow(r[lead], -1, p)
+                pivots[lead] = {j: x * inv % p for j, x in r.items()}
+                break
+            f = r[lead]
+            for j, x in piv.items():
+                v = (r.get(j, 0) - f * x) % p
+                if v:
+                    r[j] = v
+                else:
+                    r.pop(j, None)
+    return len(pivots)
+
+
 def nullspace(m, ncols=None):
     """Basis of {x : m x = 0} as a list of vectors, one per free column."""
     if ncols is None:

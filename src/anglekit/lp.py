@@ -9,6 +9,7 @@ y . b > 0 for infeasible ones.
 
 from fractions import Fraction
 
+from .errors import CrossCheckError
 from .linalg import dot, fr
 
 
@@ -110,10 +111,8 @@ def solve_lp(a_rows, b, c):
     if value1 < 0:
         y = [sign[i] * (obj[n + i] + cost1[n + i]) for i in range(m)]
         y = [-v for v in y]
-        for j in range(n):
-            assert sum(orig_rows[i][j] * y[i] for i in range(m)) <= 0
-        assert dot(y, orig_b) > 0
-        return LPResult("infeasible", None, y, None)
+        return _recheck(orig_rows, orig_b, c,
+                        LPResult("infeasible", None, y, None))
 
     # evict basic artificials where a structural pivot exists
     for i in range(m):
@@ -133,14 +132,31 @@ def solve_lp(a_rows, b, c):
         if basis[i] < n:
             x[basis[i]] = tab[i][ncols]
     y = [sign[i] * (obj[n + i] + cost2[n + i]) for i in range(m)]
-    value = dot(c, x)
-    assert all(xv >= 0 for xv in x)
-    for i in range(m):
-        assert dot(orig_rows[i], x) == orig_b[i]
-    for j in range(n):
-        assert sum(orig_rows[i][j] * y[i] for i in range(m)) >= c[j]
-    assert dot(y, orig_b) == value
-    return LPResult("optimal", x, y, value)
+    return _recheck(orig_rows, orig_b, c,
+                    LPResult("optimal", x, y, dot(c, x)))
+
+
+def _recheck(rows, b, c, res):
+    """Return res after checking its primal and dual claims against
+    maximise c . x over rows x = b, x >= 0; raise CrossCheckError on
+    the first claim that fails."""
+    m = len(rows)
+    pairing = [sum(rows[i][j] * res.y[i] for i in range(m))
+               for j in range(len(c))]
+    if res.status == "infeasible":
+        if any(v > 0 for v in pairing) or dot(res.y, b) <= 0:
+            raise CrossCheckError("infeasibility certificate fails")
+        return res
+    x = res.x
+    if any(xv < 0 for xv in x):
+        raise CrossCheckError("LP solution has a negative entry")
+    if any(dot(row, x) != bi for row, bi in zip(rows, b)):
+        raise CrossCheckError("LP solution violates an equation")
+    if any(v < cj for v, cj in zip(pairing, c)):
+        raise CrossCheckError("LP dual is not feasible")
+    if res.value != dot(c, x) or dot(res.y, b) != res.value:
+        raise CrossCheckError("LP dual value differs from the optimum")
+    return res
 
 
 def feasible_point(a_rows, b):

@@ -16,7 +16,7 @@ solution per edge class.
 from fractions import Fraction
 
 from .errors import CrossCheckError
-from .linalg import dot, fr, matvec, rank, solve
+from .linalg import _rank_mod, dot, fr, rank, solve
 from .triangulation import EDGE_INDEX, EDGE_VERTICES, FACE_VERTICES
 
 # Quadrilateral slot m separates the two vertex pairs QUAD_PAIRS[m] and
@@ -142,16 +142,26 @@ class SolutionBasis:
                                for j in range(len(tri.edges))]
         self.matching = matching_matrix(tri)
         vectors = self.tet_solutions + self.edge_solutions
+        sparse = [[(j, int(x)) for j, x in enumerate(row) if x]
+                  for row in self.matching]
         for k, v in enumerate(vectors):
-            if self.matching and not all(x == 0 for x in matvec(self.matching, v)):
+            v = [int(x) for x in v]
+            if any(sum(x * v[j] for j, x in row) for row in sparse):
                 raise CrossCheckError(
                     "basis vector %d violates the matching equations" % k)
+        # t + n kernel vectors independent mod p are independent over Q,
+        # so rank_Q(M) <= 6t - n; rank_Q(M) >= rank_p(M), so a modular
+        # rank of 6t - n pins the kernel dimension to t + n exactly.
+        # An unlucky prime falls through to exact elimination.
         expected = tri.size + len(tri.edges)
-        kernel_dim = 7 * tri.size - rank(self.matching)
-        if rank(vectors) != expected or kernel_dim != expected:
-            raise CrossCheckError(
-                "basis rank %d, kernel dimension %d, expected %d"
-                % (rank(vectors), kernel_dim, expected))
+        if (_rank_mod(vectors) != expected
+                or 7 * tri.size - _rank_mod(self.matching) != expected):
+            vector_rank = rank(vectors)
+            kernel_dim = 7 * tri.size - rank(self.matching)
+            if vector_rank != expected or kernel_dim != expected:
+                raise CrossCheckError(
+                    "basis rank %d, kernel dimension %d, expected %d"
+                    % (vector_rank, kernel_dim, expected))
         self.dimension = expected
         # columns of the expansion map, for coefficient extraction
         self._columns = [list(col) for col in zip(*vectors)]

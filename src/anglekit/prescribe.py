@@ -47,10 +47,6 @@ QUAD_CORNER_WEDGES = tuple(
     for m in range(3))
 
 
-def _edge_class_of(tri):
-    return {emb: e.index for e in tri.edges for emb in e.embeddings}
-
-
 class AreaCurvature:
     """A prescription: one area per normal triangle type (flat index
     4*tet + corner) and one curvature per edge class, in pi units."""
@@ -243,11 +239,10 @@ def lift_dual(tri, wz):
     quad system projects from: the entry for triangle k of tetrahedron
     i is -(w_i + z_a + z_b + z_c)/2 over the corner's three edge
     classes. Inverts project_dual on that kernel."""
-    class_of = _edge_class_of(tri)
     h = []
     for i in range(tri.size):
         for k in range(4):
-            zs = sum((wz.z[class_of[(i, slot)]]
+            zs = sum((wz.z[tri.edge_class_of[(i, slot)]]
                       for slot in TRI_CORNER_EDGES[k]), Fraction(0))
             h.append(-(wz.w[i] + zs) / 2)
     return h + list(wz.z)
@@ -271,12 +266,11 @@ def pairing_parts(tri, basis, ac, hz):
     wz = project_dual(tri, hz)
     vec = expand(basis, wz)
     gap = chi_star(tri, vec) - chi_ak(tri, basis, ac, vec)
-    class_of = _edge_class_of(tri)
     t = tri.size
     term = Fraction(0)
     for i in range(t):
         for m in range(6):
-            j = class_of[(i, WEDGE_TO_EDGE[m])]
+            j = tri.edge_class_of[(i, WEDGE_TO_EDGE[m])]
             k, l = WEDGE_TRIANGLES[m]
             value = hz[4 * t + j] + hz[4 * i + k] + hz[4 * i + l]
             term += value * (ac.area(i, k) + ac.area(i, l))
@@ -409,11 +403,11 @@ def decide_prescribed(tri, ac, kind):
     n = len(tri.edges)
     violated = kind
     if kind == "generalised":
-        feasible, x, y = _lp_generalised(tri, rows, rhs)
+        feasible, x, y = _lp_generalised(rows, rhs)
     elif kind == "semi":
-        feasible, x, y = _lp_semi(tri, rows, rhs)
+        feasible, x, y = _lp_semi(rows, rhs)
     else:
-        feasible, x, y, violated = _lp_strict(tri, rows, rhs)
+        feasible, x, y, violated = _lp_strict(rows, rhs)
 
     # an inverted edge shifts chi* of a link vector away from the
     # link's Euler characteristic, so the chi conditions only apply
@@ -446,15 +440,22 @@ def decide_prescribed(tri, ac, kind):
     if feasible:
         witness = WedgeAssignment(tri, x)
         induced, _ = induced_area_curvature(tri, witness)
-        assert induced == ac
+        if induced != ac:
+            raise CrossCheckError(
+                "wedge witness does not induce the prescription")
         if kind == "semi":
-            assert witness.is_semi
-            dimension = _semi_dimension(tri, rows, rhs)
+            if not witness.is_semi:
+                raise CrossCheckError("semi witness has a negative wedge")
+            dimension = _semi_dimension(rows, rhs, witness.values)
         else:
-            if kind == "strict":
-                assert witness.is_strict
+            if kind == "strict" and not witness.is_strict:
+                raise CrossCheckError(
+                    "strict witness has a nonpositive wedge")
             dimension = 6 * t - rank(rows)
-            assert dimension == 2 * t - n + len(tri.vertices)
+            if dimension != 2 * t - n + len(tri.vertices):
+                raise CrossCheckError(
+                    "wedge space dimension %d, expected 2t - n + v = %d"
+                    % (dimension, 2 * t - n + len(tri.vertices)))
     else:
         if basis is None:
             basis = verify_basis(tri)

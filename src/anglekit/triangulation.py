@@ -10,7 +10,7 @@ tetrahedron, and gluings may reverse edges; both are legal here and the
 quotient need not be a manifold.
 """
 
-from .cwsurface import CWSurface
+from .cwsurface import CWSurface, UnionFind
 
 # The six edges of a tetrahedron, indexed by their vertex pairs in
 # lexicographic order. Edge 5 - e is opposite edge e.
@@ -109,28 +109,6 @@ class VertexClass:
     def __repr__(self):
         return "VertexClass(%s, corners=%d, link=%s)" % (
             self.label, len(self.corners), self.classification)
-
-
-class _UnionFind:
-    def __init__(self):
-        self.parent = {}
-
-    def find(self, x):
-        p = self.parent.setdefault(x, x)
-        if p != x:
-            p = self.parent[x] = self.find(p)
-        return p
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-    def groups(self, items):
-        out = {}
-        for it in items:
-            out.setdefault(self.find(it), []).append(it)
-        return list(out.values())
 
 
 def _classify_link(surface):
@@ -292,10 +270,8 @@ class Triangulation:
     # -- vertices ------------------------------------------------------
 
     def _build_vertices(self):
-        uf = _UnionFind()
+        uf = UnionFind()
         corners = [(tet, c) for tet in range(self.size) for c in range(4)]
-        for it in corners:
-            uf.find(it)
         for g in self.gluings:
             for c in FACE_VERTICES[g.src_face]:
                 uf.union((g.src_tet, c), (g.dst_tet, g.vertex_map[c]))
@@ -312,38 +288,40 @@ class Triangulation:
 
     # -- vertex links --------------------------------------------------
 
-    def _link_surface(self, vclass):
+    def _link_surface(self, vclass, arcs):
+        # arcs: the (gluing, source corner) pairs at corners of vclass
         cells = []
         cell_index = {}
         for (i, c) in vclass.corners:
             cell_index[(i, c)] = len(cells)
             cells.append([(i, c, x) for x in range(4) if x != c])
         records = []
-        for g in self.gluings:
+        for g, c in arcs:
             mp = g.vertex_map
-            for c in FACE_VERTICES[g.src_face]:
-                if (g.src_tet, c) not in cell_index:
-                    continue
-                c2 = mp[c]
-                a = cell_index[(g.src_tet, c)]
-                b = cell_index[(g.dst_tet, c2)]
-                sa = _link_side(c, g.src_face)
-                sb = _link_side(c2, g.dst_face)
-                xa = [x for x in range(4) if x != c]
-                xb = [x for x in range(4) if x != c2]
-                tail_a = xa[sa]
-                head_a = xa[(sa + 1) % 3]
-                tail_b = xb[sb]
-                head_b = xb[(sb + 1) % 3]
-                assert {mp[tail_a], mp[head_a]} == {tail_b, head_b}
-                flip = mp[tail_a] == tail_b
-                records.append(((a, sa), (b, sb), flip))
+            c2 = mp[c]
+            a = cell_index[(g.src_tet, c)]
+            b = cell_index[(g.dst_tet, c2)]
+            sa = _link_side(c, g.src_face)
+            sb = _link_side(c2, g.dst_face)
+            xa = [x for x in range(4) if x != c]
+            xb = [x for x in range(4) if x != c2]
+            tail_a = xa[sa]
+            head_a = xa[(sa + 1) % 3]
+            tail_b = xb[sb]
+            head_b = xb[(sb + 1) % 3]
+            assert {mp[tail_a], mp[head_a]} == {tail_b, head_b}
+            flip = mp[tail_a] == tail_b
+            records.append(((a, sa), (b, sb), flip))
         return CWSurface(cells, records)
 
     def _build_links(self):
+        arcs = [[] for _ in self.vertices]
+        for g in self.gluings:
+            for c in FACE_VERTICES[g.src_face]:
+                arcs[self.vertex_class_of[(g.src_tet, c)]].append((g, c))
         self._links = []
         for vc in self.vertices:
-            surf = self._link_surface(vc)
+            surf = self._link_surface(vc, arcs[vc.index])
             assert surf.is_connected
             self._links.append(surf)
             vc.link_euler = surf.euler
@@ -420,13 +398,9 @@ def edge_partition_unionfind(tri):
     and inverted maps each frozenset to a bool. Used to cross-check the
     orbit tracing route, which is what build() itself uses.
     """
-    plain = _UnionFind()
-    signed = _UnionFind()
+    plain = UnionFind()
+    signed = UnionFind()
     items = [(tet, s) for tet in range(tri.size) for s in range(6)]
-    for it in items:
-        plain.find(it)
-        signed.find(it + (0,))
-        signed.find(it + (1,))
     for g in tri.gluings:
         mp = g.vertex_map
         vs = FACE_VERTICES[g.src_face]

@@ -5,6 +5,11 @@ one of the three ways to pair the four faces, then an independent
 vertex map for each pair. That gives 108 gluing presentations; a
 member is called valid when no edge class is identified with itself
 in reverse.
+
+Cyclic covers of the shipped figure-eight complement lift its four
+gluings to n copies, shifting the copy index by (0, 1, 0, 1): 2n
+tetrahedra, one torus cusp, every edge of degree 6. open_copy leaves
+that copy's lift of the last gluing open, which bounds the cover.
 """
 
 from itertools import permutations
@@ -12,10 +17,7 @@ from itertools import permutations
 from anglekit.cli import parse
 from anglekit.triangulation import build
 
-try:
-    from importlib.resources import files as _files
-except ImportError:  # 3.8 fallback, unused on supported versions
-    _files = None
+from importlib.resources import files as _files
 
 FACE_PAIRINGS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
 
@@ -54,3 +56,15 @@ def full_corpus():
     """All valid closed one-tetrahedron members plus the shipped
     two-tetrahedron fixture."""
     return one_tet_closed(valid_only=True) + [shipped("fig8")]
+
+
+def cyclic_cover(n, open_copy=None):
+    fig8 = shipped("fig8")
+    gluings = []
+    for k in range(n):
+        for i, (g, shift) in enumerate(zip(fig8.gluings, (0, 1, 0, 1))):
+            if (i, k) != (3, open_copy):
+                gluings.append((2 * k + g.src_tet, g.src_face,
+                                2 * ((k + shift) % n) + g.dst_tet,
+                                g.dst_face, g.vertex_map))
+    return build(2 * n, gluings)

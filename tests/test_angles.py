@@ -2,8 +2,22 @@ from fractions import Fraction
 
 import pytest
 
-from anglekit.angles import AngleAssignment, angle_matrix, decide
+from anglekit import angles
+from anglekit.angles import (AngleAssignment, _semi_dimension, angle_matrix,
+                             decide)
+from anglekit.errors import CrossCheckError
+from anglekit.linalg import nullspace, rank
+from anglekit.lp import LPResult, feasible_point, solve_lp
 from anglekit.normal import chi_star
+from anglekit.prescribe import (AreaCurvature, WedgeAssignment, b_system,
+                                induced_area_curvature)
+from anglekit.triangulation import build
+from corpus import cyclic_cover
+
+# two tetrahedra, one vertex: semi angle structures exist but no strict
+# one, so some quad coordinates vanish on the whole polytope
+TAUT_ONLY = ((0, 3, 1, 2, (1, 3, 0, 2)), (0, 1, 1, 1, (3, 1, 2, 0)),
+             (1, 3, 0, 0, (2, 3, 1, 0)), (1, 0, 0, 2, (2, 0, 3, 1)))
 
 
 def test_angle_matrix_shapes(ex46, fig8):
@@ -112,3 +126,63 @@ def test_inverted_members_skip_criterion(all_corpus):
         d = decide(tri, "generalised")
         assert not d.agreement.criterion_ran
         assert "reverse" in d.agreement.skipped_reason
+
+
+def semi_dimension_oracle(a, b):
+    # one LP per coordinate: a coordinate is pinned when its maximum
+    # over the polytope is 0
+    cols = len(a[0])
+    pinned = [q for q in range(cols)
+              if solve_lp(a, b, [int(j == q) for j in range(cols)]).value == 0]
+    units = [[int(j == q) for j in range(cols)] for q in pinned]
+    return cols - rank(a + units), pinned
+
+
+def pinned_wedge_system(fig8):
+    # flat fig8 wedges with the three corners of one triangle closed up:
+    # that triangle gets area -1 and its wedges are pinned to 0
+    values = [Fraction(1, 3)] * 12
+    values[0] = values[1] = values[2] = 0
+    ac, _ = induced_area_curvature(fig8, WedgeAssignment(fig8, values))
+    return b_system(fig8, ac)
+
+
+def test_semi_dimension_matches_per_coordinate_lps(valid_corpus, fig8):
+    taut = build(2, TAUT_ONLY)
+    tris = valid_corpus + [fig8, cyclic_cover(2, open_copy=0), taut]
+    systems = [angle_matrix(tri) for tri in tris]
+    systems += [b_system(tri, AreaCurvature.zero(tri)) for tri in tris]
+    systems.append(pinned_wedge_system(fig8))
+    compared = with_pins = 0
+    for a, b in systems:
+        x, _ = feasible_point(a, b)
+        if x is None:
+            continue
+        dim, pinned = semi_dimension_oracle(a, b)
+        assert _semi_dimension(a, b, x) == dim
+        compared += 1
+        with_pins += bool(pinned)
+    assert compared > 20
+    assert with_pins >= 2
+
+
+def test_semi_dimension_on_taut_only_complex():
+    tri = build(2, TAUT_ONLY)
+    d = decide(tri, "semi")
+    assert d.feasible and not decide(tri, "strict").feasible
+    a, b = angle_matrix(tri)
+    dim, pinned = semi_dimension_oracle(a, b)
+    assert pinned and d.dimension == dim
+
+
+def test_corrupted_lp_witness_raises(fig8, monkeypatch):
+    # an LP result that satisfies the equations but has a negative
+    # angle must not come back as a semi witness
+    a, b = angle_matrix(fig8)
+    direction = nullspace(a)[0]
+    x = [Fraction(1, 3) + 10 * d for d in direction]
+    assert min(x) < 0
+    monkeypatch.setattr(angles, "solve_lp",
+                        lambda *args: LPResult("optimal", x, None, 0))
+    with pytest.raises(CrossCheckError, match="negative angle"):
+        decide(fig8, "semi")

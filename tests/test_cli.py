@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from anglekit import cli
 from anglekit.cli import (CLIError, main, parse, parse_data, rational_string,
                           run, serialize)
+from anglekit.triangulation import build
 
 
 def data_path(name):
@@ -269,6 +271,30 @@ def test_main_json(capsys):
     assert main(["--json", "info", data_path("example_4_6")]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["triangulation"]["vertices"] == 2
+
+
+@pytest.mark.parametrize("exc", [RecursionError("too deep"),
+                                 AssertionError("bug"), KeyError(3)])
+def test_main_unexpected_failure_exits_2(exc, monkeypatch, capsys):
+    # status 1 means infeasible; a crash must not read as a verdict
+    def boom(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, "run", boom)
+    assert main(["info", data_path("fig8")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: %s" % type(exc).__name__)
+
+
+def test_main_info_on_long_chain(tmp_path, capsys):
+    # face 0 of each tetrahedron glued to face 1 of the next: union-find
+    # chains as long as the input
+    path = tmp_path / "chain.tri"
+    path.write_text(serialize(build(
+        2000, [(i, 0, i + 1, 1, (1, 0, 2, 3)) for i in range(1999)])))
+    assert main(["--json", "info", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["triangulation"]["tetrahedra"] == 2000
 
 
 def test_main_parse_error_exit(tmp_path, capsys):

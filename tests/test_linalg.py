@@ -1,10 +1,11 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from anglekit.linalg import (dot, fr, identity, matvec, nullspace, primitive,
-                             rank, rref, solve, transpose, vec)
+from anglekit.linalg import (_rank_mod, dot, fr, identity, matvec, nullspace,
+                             primitive, rank, rref, solve, transpose, vec)
 
 small = st.integers(min_value=-6, max_value=6)
 matrices = st.integers(min_value=1, max_value=5).flatmap(
@@ -78,3 +79,21 @@ def test_primitive():
     assert primitive([4, 6]) == [2, 3]
     assert primitive([0, 0]) == [0, 0]
     assert primitive([Fraction(-2, 7)]) == [-1]
+
+
+@given(matrices)
+def test_rank_mod_matches_exact_rank(m):
+    assert _rank_mod(m) == rank(m)
+    assert _rank_mod(vec(row) for row in m) == rank(m)
+
+
+def test_rank_mod_small_prime_undercounts():
+    m = [[2, 0], [0, 3]]
+    assert rank(m) == 2
+    assert _rank_mod(m, 2) == 1 and _rank_mod(m, 3) == 1
+    assert _rank_mod([[1, 1], [1, -1]], 2) == 1
+
+
+def test_rank_mod_rejects_fractions():
+    with pytest.raises(ValueError):
+        _rank_mod([[Fraction(1, 2)]])

@@ -1,10 +1,12 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from anglekit.errors import CrossCheckError
 from anglekit.linalg import dot, matvec, transpose, vec
-from anglekit.lp import feasible_point, solve_lp
+from anglekit.lp import LPResult, _recheck, feasible_point, solve_lp
 
 small = st.integers(min_value=-4, max_value=4)
 systems = st.tuples(
@@ -77,3 +79,20 @@ def test_feasible_point_dichotomy(sys_):
     else:
         assert all(v <= 0 for v in matvec(transpose(rows), y))
         assert dot(y, vec(b)) > 0
+
+
+def test_recheck_rejects_corrupted_results():
+    rows, b, c = [[1, 1]], [1], [1, 2]
+    res = solve_lp(rows, b, c)
+    assert _recheck(rows, b, c, res) is res
+    bad = [LPResult("optimal", res.x, [Fraction(1)], res.value),
+           LPResult("optimal", [Fraction(2), Fraction(-1)], res.y, 0),
+           LPResult("optimal", [Fraction(1), Fraction(1)], res.y, 3),
+           LPResult("optimal", res.x, res.y, Fraction(3))]
+    for corrupt in bad:
+        with pytest.raises(CrossCheckError):
+            _recheck(rows, b, c, corrupt)
+    infeasible = solve_lp([[1, 1]], [-1], [0, 0])
+    corrupt = LPResult("infeasible", None, [-v for v in infeasible.y], None)
+    with pytest.raises(CrossCheckError):
+        _recheck([[1, 1]], [-1], [0, 0], corrupt)

@@ -4,13 +4,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from anglekit import linalg, normal
 from anglekit.errors import CrossCheckError
-from anglekit.linalg import matvec, rank
+from anglekit.linalg import _rank_mod, matvec, rank
 from anglekit.normal import (QUAD_PAIRS, chi_star, coefficients,
                              edge_solution, expand, matching_matrix,
                              quad_separating, tet_solution, verify_basis,
                              vertex_link_vector)
 from anglekit.triangulation import EDGE_VERTICES
+from corpus import cyclic_cover
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=8)
 
@@ -117,3 +119,57 @@ def test_known_kernel_vectors(ex46):
         assert expand(basis, co) == [Fraction(x) for x in vec]
         assert chi_star(ex46, vec) == want
     assert rank(list(four)) == 4 == basis.dimension
+
+
+@pytest.fixture(scope="module")
+def basis_corpus(all_corpus, fig8, ex46, unglued):
+    return (all_corpus + [fig8, ex46, unglued]
+            + [cyclic_cover(n) for n in (1, 2, 3)])
+
+
+def test_modular_basis_matches_exact_ranks(basis_corpus):
+    # the exact Fraction ranks are the oracle for the modular check
+    for tri in basis_corpus:
+        basis = verify_basis(tri)
+        vectors = basis.tet_solutions + basis.edge_solutions
+        expected = tri.size + len(tri.edges)
+        assert basis.dimension == expected
+        assert _rank_mod(vectors) == rank(vectors) == expected
+        assert (_rank_mod(basis.matching) == rank(basis.matching)
+                == 7 * tri.size - expected)
+
+
+def test_unlucky_prime_falls_back_to_exact_ranks(basis_corpus, monkeypatch):
+    # mod 2 the ranks come out short on most presentations; the exact
+    # elimination then decides, with the same verdict
+    exact = []
+
+    def counting_rank(m):
+        exact.append(m)
+        return rank(m)
+
+    monkeypatch.setattr(normal, "_rank_mod",
+                        lambda rows: linalg._rank_mod(rows, 2))
+    monkeypatch.setattr(normal, "rank", counting_rank)
+    for tri in basis_corpus:
+        assert verify_basis(tri).dimension == tri.size + len(tri.edges)
+    # two exact ranks per fallback
+    assert len(exact) // 2 > len(basis_corpus) // 2
+
+
+def test_dependent_basis_fails_in_the_fallback(fig8, monkeypatch):
+    # a repeated edge solution passes the kernel check; both the
+    # modular and the exact ranks then come out short
+    monkeypatch.setattr(normal, "edge_solution",
+                        lambda tri, j: edge_solution(tri, 0))
+    with pytest.raises(CrossCheckError,
+                       match="basis rank 3, kernel dimension 4, expected 4"):
+        verify_basis(fig8)
+
+
+def test_basis_outside_the_kernel_is_rejected(fig8, monkeypatch):
+    monkeypatch.setattr(normal, "edge_solution",
+                        lambda tri, j: [1] + [0] * (7 * tri.size - 1))
+    with pytest.raises(CrossCheckError,
+                       match="basis vector 2 violates the matching"):
+        verify_basis(fig8)

@@ -139,3 +139,15 @@ def test_inverted_members_flagged(all_corpus):
     assert len(flagged) == 108 - 39
     tri = flagged[0]
     assert any(e.inverted for e in tri.edges)
+
+
+def test_long_chain_builds():
+    # find() is iterative, so union-find chains of any length are safe
+    n = 2000
+    tri = build(n, [(i, 0, i + 1, 1, (1, 0, 2, 3)) for i in range(n - 1)])
+    assert tri.size == n and len(tri.boundary_faces) == 2 * n + 2
+    # labels 2 and 3 run the whole chain; labels 1 and 0 pair up
+    # across each gluing, leaving the two ends single
+    sizes = sorted(len(v.corners) for v in tri.vertices)
+    assert len(tri.vertices) == n + 3
+    assert sizes == [1, 1] + [2] * (n - 1) + [n, n]
