@@ -125,7 +125,9 @@ def farkas_to_normal(basis, dual, violated_kind):
     a, _ = angle_matrix(tri)
     pairing = [-sum(row[q] * y for row, y in zip(a, dual))
                for q in range(3 * t)]
-    assert list(vec[:3 * t]) == pairing
+    if list(vec[:3 * t]) != pairing:
+        raise CrossCheckError(
+            "quad part of the combination differs from the dual pairing")
     if violated_kind == "generalised":
         if any(x != 0 for x in vec[:3 * t]):
             raise ValueError("generalised certificate has a nonzero quad")
@@ -135,7 +137,9 @@ def farkas_to_normal(basis, dual, violated_kind):
             raise ValueError("quad coordinate %d is negative" % bad)
     chi = chi_star(tri, vec)
     per_edge = [2 - (1 if e.on_boundary else 0) for e in tri.edges]
-    assert chi == sum(wz.w) + sum(c * z for c, z in zip(per_edge, wz.z))
+    if chi != sum(wz.w) + sum(c * z for c, z in zip(per_edge, wz.z)):
+        raise CrossCheckError(
+            "chi* of the combination differs from its (w, z) formula")
     if tri.is_closed:
         if violated_kind == "generalised" and chi == 0:
             raise ValueError("chi* vanishes; no generalised obstruction")
@@ -195,7 +199,8 @@ def _lp_semi(a, b):
     res = solve_lp(a, b, [Fraction(0)] * len(a[0]))
     if res.status == "optimal":
         return True, res.x, None
-    assert res.status == "infeasible"
+    if res.status != "infeasible":
+        raise CrossCheckError("semi LP ended %s" % (res.status,))
     return False, None, res.y
 
 
@@ -215,7 +220,8 @@ def _lp_strict(a, b):
         # the widened system is solvable whenever a semi solution
         # exists, so this dual is a semi obstruction
         return False, None, res.y[:m], "semi"
-    assert res.status == "optimal"
+    if res.status != "optimal":
+        raise CrossCheckError("strict LP ended %s" % (res.status,))
     eps = res.x[cols]
     if eps > 0:
         x = [u + eps for u in res.x[:cols]]

@@ -15,6 +15,7 @@ throughout, so a flat triangle has corner sum 1.
 
 from fractions import Fraction
 
+from .errors import CrossCheckError
 from .linalg import fr, solve
 
 
@@ -269,7 +270,9 @@ def realize(surface, curvatures, areas):
     defect = sum(areas, Fraction(0)) + sum(curvatures, Fraction(0)) - 2 * surface.euler
     x, cert = solve(rows, rhs)
     if x is None:
-        assert defect != 0, "inconsistent system with zero defect"
+        if defect == 0:
+            raise CrossCheckError("inconsistent system with zero defect")
         return RealizeResult(None, defect)
-    assert defect == 0, "solvable system with nonzero defect"
+    if defect != 0:
+        raise CrossCheckError("solvable system with nonzero defect")
     return RealizeResult({cid: x[col[cid]] for cid in ids}, Fraction(0))

@@ -106,7 +106,8 @@ def solve_lp(a_rows, b, c):
     # phase 1: drive the artificials to zero
     cost1 = [Fraction(0)] * n + [Fraction(-1)] * m
     status, obj = run(cost1, range(ncols))
-    assert status == "optimal"
+    if status != "optimal":
+        raise CrossCheckError("phase 1 ended %s" % (status,))
     value1 = sum((cost1[basis[i]] * tab[i][ncols] for i in range(m)), Fraction(0))
     if value1 < 0:
         y = [sign[i] * (obj[n + i] + cost1[n + i]) for i in range(m)]

@@ -16,7 +16,7 @@ solution per edge class.
 from fractions import Fraction
 
 from .errors import CrossCheckError
-from .linalg import _rank_mod, dot, fr, rank, solve
+from .linalg import _rank_mod, fr, rank, rref_in_place
 from .triangulation import EDGE_INDEX, EDGE_VERTICES, FACE_VERTICES
 
 # Quadrilateral slot m separates the two vertex pairs QUAD_PAIRS[m] and
@@ -163,8 +163,12 @@ class SolutionBasis:
                     "basis rank %d, kernel dimension %d, expected %d"
                     % (vector_rank, kernel_dim, expected))
         self.dimension = expected
+        self._sparse_matching = sparse
         # columns of the expansion map, for coefficient extraction
         self._columns = [list(col) for col in zip(*vectors)]
+        # (coordinate rows, inverse of their square block), built by
+        # the first coefficients() call
+        self._left_inverse = None
 
     def __repr__(self):
         return "SolutionBasis(t=%d, edges=%d, dim=%d)" % (
@@ -185,7 +189,11 @@ def expand(basis, coeffs):
         w, z = coeffs
     w = [fr(x) for x in w]
     z = [fr(x) for x in z]
-    assert len(w) == basis.tri.size and len(z) == len(basis.tri.edges)
+    if len(w) != basis.tri.size or len(z) != len(basis.tri.edges):
+        raise ValueError("expected %d tetrahedral and %d edge coefficients, "
+                         "got %d and %d" % (basis.tri.size,
+                                            len(basis.tri.edges), len(w),
+                                            len(z)))
     out = [Fraction(0)] * (7 * basis.tri.size)
     for wi, vecv in zip(w, basis.tet_solutions):
         if wi:
@@ -198,24 +206,62 @@ def expand(basis, coeffs):
     return out
 
 
+def _matching_residual(basis, s):
+    """(index, residual) of the first matching equation s violates, or
+    None inside the solution space."""
+    for r, row in enumerate(basis._sparse_matching):
+        res = sum((x * s[j] for j, x in row), Fraction(0))
+        if res != 0:
+            return r, res
+    return None
+
+
+def _build_left_inverse(basis):
+    # t + n independent coordinate rows of the expansion map C: the
+    # pivot columns of C^T. Reducing [C^T | I] gives E with E C^T = R,
+    # whose pivot columns form the identity, so E^T inverts the square
+    # block of C on those rows. coefficients() checks every result it
+    # reads through the inverse, so the inverse itself needs no check.
+    d = basis.dimension
+    width = 7 * basis.tri.size
+    aug = [list(v) + [Fraction(int(i == k)) for i in range(d)]
+           for k, v in enumerate(basis.tet_solutions + basis.edge_solutions)]
+    pivots = rref_in_place(aug, ncols=width)
+    if len(pivots) != d:
+        raise CrossCheckError("expansion map has rank %d, expected %d"
+                              % (len(pivots), d))
+    inverse = [[aug[j][width + k] for j in range(d)] for k in range(d)]
+    return pivots, inverse
+
+
 def coefficients(basis, s):
     """The unique (w, z) with s = sum w W_tet + sum z W_edge.
 
     Rejects vectors outside the solution space, reporting the index of
-    the first matching equation with a nonzero residual.
+    the first matching equation with a nonzero residual. Inside it, the
+    coefficients are read off t + n independent coordinates of s by a
+    left inverse of the expansion map, built once per basis, and their
+    expansion is checked against s.
     """
     s = [fr(x) for x in s]
     if len(s) != 7 * basis.tri.size:
         raise ValueError("expected %d coordinates, got %d"
                          % (7 * basis.tri.size, len(s)))
-    for r, row in enumerate(basis.matching):
-        res = dot(row, s)
-        if res != 0:
-            raise ValueError(
-                "vector is outside the solution space: matching equation %d "
-                "has residual %s" % (r, res))
-    x, cert = solve(basis._columns, s)
-    assert cert is None, "kernel vector not spanned by the verified basis"
+    bad = _matching_residual(basis, s)
+    if bad is not None:
+        raise ValueError(
+            "vector is outside the solution space: matching equation %d "
+            "has residual %s" % bad)
+    if basis._left_inverse is None:
+        basis._left_inverse = _build_left_inverse(basis)
+    pivots, inverse = basis._left_inverse
+    picked = [s[r] for r in pivots]
+    x = [sum((a * b for a, b in zip(row, picked) if a), Fraction(0))
+         for row in inverse]
+    for r, row in enumerate(basis._columns):
+        if sum((a * b for a, b in zip(row, x) if a), Fraction(0)) != s[r]:
+            raise CrossCheckError(
+                "kernel vector not spanned by the verified basis")
     t = basis.tri.size
     return WZCoefficients(x[:t], x[t:])
 

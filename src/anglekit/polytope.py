@@ -3,28 +3,34 @@
 The nonnegative vectors of the solution space form a pointed rational
 cone. Its extreme rays, scaled to primitive integer vectors, are the
 vertex solutions; scaled to coordinate sum 1 they are the vertices of
-the projective solution space. The enumerator is a double description
-pass over the kernel parametrisation, cross-checkable against a brute
-force support enumeration oracle.
+the projective solution space. The enumerator is an integer double
+description pass over the kernel parametrisation: rays are primitive
+integer coefficient vectors, each carries its zero set as a bitmask,
+and adjacency is decided combinatorially from those masks. A brute
+force support enumeration is kept as an oracle.
 """
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
-from .linalg import dot, fr, matvec, nullspace, primitive, rank
-from .normal import verify_basis
+from .errors import CrossCheckError
+from .linalg import _rank_mod, fr, matvec, nullspace, primitive, rank
+from .normal import (WZCoefficients, _matching_residual, coefficients,
+                     verify_basis)
 
 
 class VertexSolution:
     """An extreme ray of the nonnegative solution cone.
 
     vector is the primitive integer form, projective the rescaling with
-    coordinate sum 1. support_rank is the rank of the kernel
-    parametrisation restricted to the zero set; extremality is
-    support_rank == dimension - 1.
+    coordinate sum 1, and coefficients the (w, z) coefficients of vector
+    over the tetrahedral and edge solutions. support_rank is the rank of
+    the kernel parametrisation restricted to the zero set; extremality
+    is support_rank == dimension - 1.
     """
 
-    def __init__(self, vector, dimension, support_rank):
+    def __init__(self, vector, dimension, support_rank, coefficients):
         self.vector = tuple(int(x) for x in vector)
         total = sum(self.vector)
         self.projective = tuple(Fraction(x, total) for x in self.vector)
@@ -32,15 +38,16 @@ class VertexSolution:
         self.zero_set = tuple(i for i, x in enumerate(self.vector) if x == 0)
         self.dimension = dimension
         self.support_rank = support_rank
+        self.coefficients = coefficients
 
     def __repr__(self):
         return "VertexSolution(%s)" % (list(self.vector),)
 
 
 def _constraint_rows(basis):
-    # row r is the linear functional giving coordinate r of the solution
-    # in terms of kernel basis coefficients
-    return [list(row) for row in basis._columns]
+    # row r is the integer linear functional giving coordinate r of the
+    # solution in terms of kernel basis coefficients
+    return [[int(x) for x in row] for row in basis._columns]
 
 
 def _sorted_rows(rows):
@@ -58,34 +65,42 @@ def _initial_cone(rows, order, d):
             chosen.append(r)
         else:
             rest.append(r)
-    assert len(chosen) == d, "kernel parametrisation lost rank"
+    if len(chosen) != d:
+        raise CrossCheckError("kernel parametrisation lost rank")
     # rays of {c : R c >= 0} for square invertible R: columns of R^-1
     square = [rows[i] for i in chosen]
     rays = []
     for j in range(d):
         col = nullspace([square[i] for i in range(d) if i != j])
-        assert len(col) == 1
-        ray = col[0]
-        if dot(square[j], ray) < 0:
+        if len(col) != 1:
+            raise CrossCheckError("initial cone is not simplicial")
+        ray = primitive(col[0])
+        if sum(a * x for a, x in zip(square[j], ray)) < 0:
             ray = [-x for x in ray]
         rays.append(ray)
     return chosen, rest, rays
 
 
-def _adjacent(p, q, processed, d):
-    tight = [row for row in processed if dot(row, p) == 0 and dot(row, q) == 0]
-    if len(tight) < d - 2:
-        return False
-    return rank(tight) == d - 2
+def _support_rank(zero_rows, d):
+    # a nonzero kernel vector of zero_rows bounds rank_Q by d - 1, and
+    # rank_Q >= rank_p, so a modular rank of d - 1 settles extremality;
+    # a short modular rank falls through to exact elimination
+    if _rank_mod(zero_rows) == d - 1:
+        return d - 1
+    return rank(zero_rows)
 
 
 def enumerate_vertices(tri, basis=None):
     """All vertex solutions, in a canonical order.
 
-    Double description over the kernel basis: insert the nonnegativity
-    of one coordinate at a time (sparsest rows first, ties broken
-    lexicographically) and keep extreme rays only, with the algebraic
-    rank test for adjacency. Output is sorted by primitive vector, so it
+    Integer double description over the kernel basis: insert the
+    nonnegativity of one coordinate at a time (sparsest rows first, ties
+    broken lexicographically), keeping primitive integer rays and the
+    zero set of each over the rows inserted so far as a bitmask. A
+    positive and a negative ray combine only when they are adjacent: at
+    least d - 2 rows vanish on both, and no third ray vanishes on all of
+    those rows. Every output ray is re-checked to be nonnegative,
+    nonzero and extreme. Output is sorted by primitive vector, so it
     does not depend on the insertion order.
     """
     if basis is None:
@@ -94,34 +109,67 @@ def enumerate_vertices(tri, basis=None):
     rows = _constraint_rows(basis)
     order = _sorted_rows(rows)
     chosen, rest, rays = _initial_cone(rows, order, d)
-    processed = [rows[i] for i in chosen]
-    for r in rest:
-        a = rows[r]
-        vals = [dot(a, ray) for ray in rays]
-        if all(v >= 0 for v in vals):
-            processed.append(a)
-            continue
-        keep = [ray for ray, v in zip(rays, vals) if v >= 0]
-        fresh = []
-        pos = [(ray, v) for ray, v in zip(rays, vals) if v > 0]
-        neg = [(ray, v) for ray, v in zip(rays, vals) if v < 0]
-        for rp, vp in pos:
-            for rn, vn in neg:
-                if d == 2 or _adjacent(rp, rn, processed, d):
-                    fresh.append([vp * xn - vn * xp for xp, xn in zip(rp, rn)])
-        processed.append(a)
-        rays = keep + fresh
+    # bit k of a mask marks the k-th inserted row; initial ray j
+    # vanishes on every chosen row but the j-th
+    full = (1 << d) - 1
+    masks = [full ^ (1 << j) for j in range(d)]
+    for k, r in enumerate(rest, d):
+        bit = 1 << k
+        a = [(j, x) for j, x in enumerate(rows[r]) if x]
+        vals = [sum(x * ray[j] for j, x in a) for ray in rays]
+        pos = []
+        neg = []
+        new_rays = []
+        new_masks = []
+        for i, v in enumerate(vals):
+            if v > 0:
+                pos.append(i)
+                new_rays.append(rays[i])
+                new_masks.append(masks[i])
+            elif v < 0:
+                neg.append(i)
+            else:
+                new_rays.append(rays[i])
+                new_masks.append(masks[i] | bit)
+        for ip in pos:
+            mp = masks[ip]
+            rp = rays[ip]
+            vp = vals[ip]
+            for i_n in neg:
+                mn = masks[i_n]
+                common = mp & mn
+                if common.bit_count() < d - 2:
+                    continue
+                for m in masks:
+                    if m & common == common and m != mp and m != mn:
+                        break
+                else:
+                    vn = vals[i_n]
+                    ray = [vp * xn - vn * xp for xp, xn in zip(rp, rays[i_n])]
+                    g = gcd(*ray)
+                    new_rays.append([x // g for x in ray])
+                    new_masks.append(common | bit)
+        rays, masks = new_rays, new_masks
+    t = basis.tri.size
     out = {}
     for c in rays:
-        x = matvec(rows, c)
-        assert all(v >= 0 for v in x) and any(v != 0 for v in x)
-        out[tuple(primitive(x))] = True
+        x = [sum(a * y for a, y in zip(row, c)) for row in rows]
+        if any(v < 0 for v in x) or not any(x):
+            raise CrossCheckError(
+                "double description emitted a ray outside the cone")
+        g = gcd(*x)
+        out.setdefault(tuple(v // g for v in x),
+                       [Fraction(y, g) for y in c])
     result = []
     for vec in sorted(out):
         zero_rows = [rows[i] for i, v in enumerate(vec) if v == 0]
-        srank = rank(zero_rows)
-        assert srank == d - 1, "double description emitted a non extreme ray"
-        result.append(VertexSolution(vec, d, srank))
+        srank = _support_rank(zero_rows, d)
+        if srank != d - 1:
+            raise CrossCheckError(
+                "double description emitted a non extreme ray")
+        co = out[vec]
+        result.append(VertexSolution(vec, d, srank,
+                                     WZCoefficients(co[:t], co[t:])))
     return result
 
 
@@ -159,7 +207,8 @@ def support_enumeration_vertices(tri, basis=None):
     result = []
     for vec in sorted(found):
         zero_rows = [rows[i] for i, v in enumerate(vec) if v == 0]
-        result.append(VertexSolution(vec, d, rank(zero_rows)))
+        result.append(VertexSolution(vec, d, rank(zero_rows),
+                                     coefficients(basis, vec)))
     return result
 
 
@@ -168,10 +217,13 @@ def is_vertex(tri, s, basis=None):
     if basis is None:
         basis = verify_basis(tri)
     s = [fr(x) for x in s]
+    if len(s) != 7 * basis.tri.size:
+        raise ValueError("expected %d coordinates, got %d"
+                         % (7 * basis.tri.size, len(s)))
     if all(x == 0 for x in s) or any(x < 0 for x in s):
         return False
-    if basis.matching and not all(x == 0 for x in matvec(basis.matching, s)):
+    if _matching_residual(basis, s) is not None:
         return False
     rows = _constraint_rows(basis)
     zero_rows = [rows[i] for i, v in enumerate(s) if v == 0]
-    return rank(zero_rows) == basis.dimension - 1
+    return _support_rank(zero_rows, basis.dimension) == basis.dimension - 1

@@ -156,17 +156,24 @@ def b_system(tri, ac):
     return rows, rhs
 
 
-def chi_ak(tri, basis, ac, s):
+def chi_ak(tri, basis, ac, s, wz=None):
     """chi of s relative to the prescription: half the triangle
     coordinates paired with the areas plus the edge coefficients of s
     paired with the curvatures.
 
     Linear in s; rejects vectors outside the solution space (the edge
     coefficients only exist there). With the zero prescription it
-    vanishes identically.
+    vanishes identically. wz, when given, are the (w, z) coefficients
+    of s already known; they are checked to expand to s instead of
+    being solved for.
     """
-    co = coefficients(basis, s)
     s = [fr(x) for x in s]
+    if wz is None:
+        co = coefficients(basis, s)
+    elif expand(basis, wz) == s:
+        co = wz
+    else:
+        raise CrossCheckError("coefficients do not expand to the vector")
     t = tri.size
     total = Fraction(0)
     for i in range(t):
@@ -326,7 +333,10 @@ def dual_to_normal(tri, basis, ac, hz, violated_kind):
     if violated_kind == "strict" and all(x == 0 for x in wedge_values):
         raise ValueError("strict obstruction needs a nonzero wedge row")
     pairing, gap, term = pairing_parts(tri, basis, ac, hz)
-    assert pairing == gap + term
+    if pairing != gap + term:
+        raise CrossCheckError(
+            "pairing %s is not chi gap %s plus wedge term %s"
+            % (pairing, gap, term))
     if violated_kind == "generalised" and pairing == 0:
         raise ValueError("pairing vanishes; no generalised obstruction")
     if violated_kind == "semi" and pairing <= 0:
@@ -336,11 +346,15 @@ def dual_to_normal(tri, basis, ac, hz, violated_kind):
     vec = expand(basis, project_dual(tri, hz))
     quads = vec[:3 * t]
     if violated_kind == "generalised":
-        assert all(x == 0 for x in quads)
+        if any(x != 0 for x in quads):
+            raise CrossCheckError(
+                "generalised certificate projects to a nonzero quad")
     else:
-        assert all(x >= 0 for x in quads)
-        if violated_kind == "strict":
-            assert any(x > 0 for x in quads)
+        if any(x < 0 for x in quads):
+            raise CrossCheckError("certificate projects to a negative quad")
+        if violated_kind == "strict" and not any(x > 0 for x in quads):
+            raise CrossCheckError(
+                "strict certificate projects to no positive quad")
     return DualCertificate(tri, hz, violated_kind, vec, pairing, gap)
 
 
@@ -372,7 +386,7 @@ def _chi_conditions(tri, basis, ac, kind):
         return True
     t = tri.size
     for vs in enumerate_vertices(tri, basis):
-        value = chi_ak(tri, basis, ac, vs.vector)
+        value = chi_ak(tri, basis, ac, vs.vector, vs.coefficients)
         star = chi_star(tri, vs.vector)
         if kind == "semi":
             if star > value:

@@ -1,0 +1,107 @@
+"""Corrupted certificates and coefficients the package must reject.
+
+Each case feeds a checked function one deliberately wrong ingredient
+and must end in CrossCheckError. Run as a script, it prints one line
+per case, so a test can run it under `python -O` (which strips assert
+statements) and confirm the checks still fire:
+
+    PYTHONPATH=src:tests python -O tests/corruptions.py
+"""
+
+import sys
+from unittest import mock
+
+import anglekit.angles as angles
+import anglekit.polytope as polytope
+import anglekit.prescribe as prescribe
+from anglekit.angles import decide, farkas_to_normal
+from anglekit.errors import CrossCheckError
+from anglekit.normal import WZCoefficients, coefficients, verify_basis
+from anglekit.polytope import enumerate_vertices
+from anglekit.prescribe import (AreaCurvature, chi_ak, decide_prescribed,
+                                dual_to_normal)
+from corpus import shipped
+
+
+def farkas_certificate_with_corrupted_basis():
+    ex46 = shipped("example_4_6")
+    wz = decide(ex46, "generalised").certificate.wz
+    basis = verify_basis(ex46)
+    basis.tet_solutions[0][0] += 1
+    farkas_to_normal(basis, list(wz.w) + list(wz.z), "generalised")
+
+
+def farkas_certificate_with_corrupted_chi_star():
+    ex46 = shipped("example_4_6")
+    wz = decide(ex46, "semi").certificate.wz
+    basis = verify_basis(ex46)
+    with mock.patch.object(angles, "chi_star", lambda tri, s: 0):
+        farkas_to_normal(basis, list(wz.w) + list(wz.z), "semi")
+
+
+def dual_certificate_with_corrupted_pairing():
+    ex46 = shipped("example_4_6")
+    ac = AreaCurvature.zero(ex46)
+    hz = decide_prescribed(ex46, ac, "semi").certificate.values
+    parts = prescribe.pairing_parts
+
+    def shifted(*args):
+        pairing, gap, term = parts(*args)
+        return pairing, gap + 1, term
+
+    with mock.patch.object(prescribe, "pairing_parts", shifted):
+        dual_to_normal(ex46, verify_basis(ex46), ac, hz, "semi")
+
+
+def vertex_solution_with_corrupted_coefficient():
+    fig8 = shipped("fig8")
+    basis = verify_basis(fig8)
+    vs = enumerate_vertices(fig8, basis)[0]
+    z = list(vs.coefficients.z)
+    z[0] += 1
+    chi_ak(fig8, basis, AreaCurvature.zero(fig8), vs.vector,
+           WZCoefficients(vs.coefficients.w, z))
+
+
+def coefficients_with_corrupted_left_inverse():
+    fig8 = shipped("fig8")
+    basis = verify_basis(fig8)
+    vector = enumerate_vertices(fig8, basis)[0].vector
+    coefficients(basis, vector)
+    # the picked coordinates of a nonzero nonnegative vector sum to a
+    # positive number, so shifting a whole row moves that coefficient
+    row = basis._left_inverse[1][0]
+    row[:] = [x + 1 for x in row]
+    coefficients(basis, vector)
+
+
+def vertex_enumeration_with_short_ranks():
+    fig8 = shipped("fig8")
+    with mock.patch.object(polytope, "_rank_mod", lambda rows: 0), \
+            mock.patch.object(polytope, "rank", lambda rows: 0):
+        enumerate_vertices(fig8)
+
+
+CASES = (farkas_certificate_with_corrupted_basis,
+         farkas_certificate_with_corrupted_chi_star,
+         dual_certificate_with_corrupted_pairing,
+         vertex_solution_with_corrupted_coefficient,
+         coefficients_with_corrupted_left_inverse,
+         vertex_enumeration_with_short_ranks)
+
+
+def outcome(case):
+    """'CrossCheckError', another exception's name, or 'returned'."""
+    try:
+        case()
+    except CrossCheckError:
+        return "CrossCheckError"
+    except Exception as exc:
+        return type(exc).__name__
+    return "returned"
+
+
+if __name__ == "__main__":
+    print("optimize %d" % sys.flags.optimize)
+    for case in CASES:
+        print("%s %s" % (case.__name__, outcome(case)))

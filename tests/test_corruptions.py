@@ -1,0 +1,30 @@
+import os
+import subprocess
+import sys
+
+import pytest
+
+import corruptions
+
+TESTS = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(TESTS), "src")
+
+
+@pytest.mark.parametrize("case", corruptions.CASES,
+                         ids=[c.__name__ for c in corruptions.CASES])
+def test_corruption_raises_cross_check_error(case):
+    assert corruptions.outcome(case) == "CrossCheckError"
+
+
+def test_corruptions_still_raise_under_optimize_flag():
+    # python -O strips assert statements; the verdict checks must not
+    # be among them
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, TESTS]))
+    done = subprocess.run(
+        [sys.executable, "-O", os.path.join(TESTS, "corruptions.py")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "optimize 1"
+    assert lines[1:] == ["%s CrossCheckError" % c.__name__
+                         for c in corruptions.CASES]

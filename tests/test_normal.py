@@ -6,11 +6,12 @@ from hypothesis import strategies as st
 
 from anglekit import linalg, normal
 from anglekit.errors import CrossCheckError
-from anglekit.linalg import _rank_mod, matvec, rank
-from anglekit.normal import (QUAD_PAIRS, chi_star, coefficients,
+from anglekit.linalg import _rank_mod, dot, matvec, rank, solve
+from anglekit.normal import (QUAD_PAIRS, WZCoefficients, chi_star, coefficients,
                              edge_solution, expand, matching_matrix,
                              quad_separating, tet_solution, verify_basis,
                              vertex_link_vector)
+from anglekit.polytope import enumerate_vertices
 from anglekit.triangulation import EDGE_VERTICES
 from corpus import cyclic_cover
 
@@ -107,6 +108,76 @@ def test_coefficients_rejects_outside_kernel(ex46):
         coefficients(basis, [a + b for a, b in zip(s, bump)])
     with pytest.raises(ValueError):
         coefficients(basis, [1, 2, 3])  # wrong length
+
+
+def solved_coefficients(basis, s):
+    # the augmented elimination the left inverse replaced
+    x, cert = solve(basis._columns, s)
+    assert cert is None
+    t = basis.tri.size
+    return WZCoefficients(x[:t], x[t:])
+
+
+@pytest.fixture(scope="module")
+def cover2():
+    return cyclic_cover(2)
+
+
+def test_left_inverse_matches_solve_on_vertex_solutions(fig8, cover2):
+    for tri in (fig8, cover2):
+        basis = verify_basis(tri)
+        for vs in enumerate_vertices(tri, basis):
+            co = coefficients(basis, vs.vector)
+            assert co == solved_coefficients(basis, vs.vector)
+            assert co == vs.coefficients
+
+
+@given(st.data())
+def test_left_inverse_matches_solve_on_kernel_combinations(fig8, cover2,
+                                                           data):
+    tri = data.draw(st.sampled_from([fig8, cover2]))
+    basis = verify_basis(tri)
+    ints = st.integers(min_value=-5, max_value=5)
+    w = [data.draw(ints) for _ in range(tri.size)]
+    z = [data.draw(ints) for _ in range(len(tri.edges))]
+    s = expand(basis, (w, z))
+    co = coefficients(basis, s)
+    assert co == solved_coefficients(basis, s)
+    assert list(co.w) == w and list(co.z) == z
+
+
+def test_left_inverse_built_once(fig8, monkeypatch):
+    builds = []
+    build = normal._build_left_inverse
+    monkeypatch.setattr(normal, "_build_left_inverse",
+                        lambda basis: builds.append(basis) or build(basis))
+    basis = verify_basis(fig8)
+    assert basis._left_inverse is None
+    for vs in enumerate_vertices(fig8, basis):
+        coefficients(basis, vs.vector)
+    assert builds == [basis]
+    rows, inverse = basis._left_inverse
+    assert len(rows) == len(inverse) == basis.dimension
+    # the chosen coordinate rows of the expansion map, times the
+    # inverse, give the identity
+    for k, row in enumerate(inverse):
+        for i in range(basis.dimension):
+            column = [basis._columns[r][i] for r in rows]
+            assert dot(row, column) == (1 if i == k else 0)
+
+
+def test_outside_kernel_message(fig8):
+    basis = verify_basis(fig8)
+    m = matching_matrix(fig8)
+    s = [Fraction(0)] * 14
+    s[5] = Fraction(3, 2)
+    first = next(r for r, row in enumerate(m) if dot(row, s) != 0)
+    residual = dot(m[first], s)
+    with pytest.raises(ValueError) as info:
+        coefficients(basis, s)
+    assert str(info.value) == (
+        "vector is outside the solution space: matching equation %d "
+        "has residual %s" % (first, residual))
 
 
 def test_known_kernel_vectors(ex46):

@@ -1,10 +1,56 @@
 from fractions import Fraction
 from math import gcd
 
-from anglekit.linalg import matvec
-from anglekit.normal import chi_star, matching_matrix, vertex_link_vector
-from anglekit.polytope import (enumerate_vertices, is_vertex,
+import pytest
+
+import anglekit.polytope as polytope
+from anglekit.linalg import _rank_mod, dot, matvec, primitive, rank
+from anglekit.normal import (chi_star, expand, matching_matrix, verify_basis,
+                             vertex_link_vector)
+from anglekit.polytope import (_constraint_rows, _initial_cone, _sorted_rows,
+                               enumerate_vertices, is_vertex,
                                support_enumeration_vertices)
+from corpus import cyclic_cover
+
+
+def _adjacent(p, q, processed, d):
+    tight = [row for row in processed if dot(row, p) == 0 and dot(row, q) == 0]
+    if len(tight) < d - 2:
+        return False
+    return rank(tight) == d - 2
+
+
+def algebraic_dd_vertices(tri):
+    """The rational double description with the algebraic adjacency
+    test: every candidate pair's tight rows are recomputed and ranked.
+    An oracle for the integer, bitmask enumerator; same insertion order,
+    output as the sorted primitive vectors."""
+    basis = verify_basis(tri)
+    d = basis.dimension
+    rows = _constraint_rows(basis)
+    chosen, rest, rays = _initial_cone(rows, _sorted_rows(rows), d)
+    processed = [rows[i] for i in chosen]
+    for r in rest:
+        a = rows[r]
+        vals = [dot(a, ray) for ray in rays]
+        if all(v >= 0 for v in vals):
+            processed.append(a)
+            continue
+        keep = [ray for ray, v in zip(rays, vals) if v >= 0]
+        fresh = []
+        pos = [(ray, v) for ray, v in zip(rays, vals) if v > 0]
+        neg = [(ray, v) for ray, v in zip(rays, vals) if v < 0]
+        for rp, vp in pos:
+            for rn, vn in neg:
+                if d == 2 or _adjacent(rp, rn, processed, d):
+                    fresh.append([vp * xn - vn * xp for xp, xn in zip(rp, rn)])
+        processed.append(a)
+        rays = keep + fresh
+    out = {tuple(primitive(matvec(rows, c))) for c in rays}
+    for vec in out:
+        assert all(x >= 0 for x in vec) and any(vec)
+        assert rank([rows[i] for i, v in enumerate(vec) if v == 0]) == d - 1
+    return sorted(out)
 
 
 def test_known_vertex_solutions(ex46):
@@ -42,6 +88,11 @@ def test_combinations_are_not_vertices(ex46):
     vs = enumerate_vertices(ex46)
     combo = [a + b for a, b in zip(vs[0].vector, vs[1].vector)]
     assert not is_vertex(ex46, combo)
+    # same zero set as a vertex solution, but off the solution space
+    assert is_vertex(ex46, (0, 0, 0, 1, 0, 1, 0))
+    assert not is_vertex(ex46, (0, 0, 0, 2, 0, 1, 0))
+    with pytest.raises(ValueError, match="expected 7 coordinates, got 6"):
+        is_vertex(ex46, (0, 0, 0, 1, 0, 1))
 
 
 def test_support_enumeration_matches(ex46, fig8, valid_corpus):
@@ -59,3 +110,49 @@ def test_figure_eight_vertex_count(fig8):
     link = tuple(int(x) for x in vertex_link_vector(fig8, fig8.vertices[0]))
     assert link in {tuple(v.vector) for v in vs}
     assert chi_star(fig8, link) == 0
+
+
+def test_matches_algebraic_dd_oracle(ex46, fig8, valid_corpus):
+    cases = valid_corpus + [fig8, ex46, cyclic_cover(2)]
+    for tri in cases:
+        found = [vs.vector for vs in enumerate_vertices(tri)]
+        assert found == algebraic_dd_vertices(tri)
+    assert len(found) == 48
+
+
+def test_three_fold_cover_vertex_count():
+    tri = cyclic_cover(3)
+    basis = verify_basis(tri)
+    found = enumerate_vertices(tri, basis)
+    assert len(found) == 471
+    assert all(is_vertex(tri, vs.vector, basis) for vs in found)
+
+
+def test_carried_coefficients_expand_to_the_vector(ex46, fig8, valid_corpus):
+    for tri in valid_corpus[::6] + [ex46, fig8, cyclic_cover(2)]:
+        basis = verify_basis(tri)
+        for vs in enumerate_vertices(tri, basis):
+            assert expand(basis, vs.coefficients) == list(vs.vector)
+
+
+def test_short_modular_ranks_fall_back_to_exact(monkeypatch):
+    # an unlucky prime can only make a modular rank short; the exact rank
+    # then decides each extremality check, with the same output
+    tri = cyclic_cover(2)
+    want = [vs.vector for vs in enumerate_vertices(tri)]
+    exact = []
+
+    def counting_rank(m):
+        exact.append(m)
+        return rank(m)
+
+    monkeypatch.setattr(polytope, "rank", counting_rank)
+    enumerate_vertices(tri)
+    calls = len(exact)
+    del exact[:]
+    monkeypatch.setattr(polytope, "_rank_mod", lambda rows: 0)
+    found = enumerate_vertices(tri)
+    assert [vs.vector for vs in found] == want
+    assert all(vs.support_rank == vs.dimension - 1 for vs in found)
+    assert len(exact) == calls + len(found)
+    assert is_vertex(tri, found[0].vector)
