@@ -87,7 +87,7 @@ class CWSurface:
         self.gluings = tuple(norm)
 
         all_sides = [(ci, k) for ci, c in enumerate(cells) for k in range(len(c))]
-        self.free_sides = tuple(s for s in all_sides if s not in used)
+        self.free_sides = tuple([s for s in all_sides if s not in used])
 
         # vertex classes of corners
         uf = UnionFind()
@@ -100,8 +100,12 @@ class CWSurface:
             else:
                 uf.union(t1, h2)
                 uf.union(h1, t2)
-        self.vertices = tuple(tuple(grp) for grp in
-                              uf.groups(cid for c in cells for cid in c))
+        # per-surface sequences whose length follows the input are lists:
+        # CPython 3.11 keeps every freed tuple of exactly 20 items on a
+        # free list that allocation never draws from, so each one stays
+        # allocated until a full garbage collection
+        self.vertices = [tuple(grp) for grp in
+                         uf.groups(cid for c in cells for cid in c)]
         self.vertex_of = {}
         for vi, grp in enumerate(self.vertices):
             for cid in grp:
@@ -112,7 +116,7 @@ class CWSurface:
             t, h = self._ends(ci, k)
             onb[self.vertex_of[t]] = True
             onb[self.vertex_of[h]] = True
-        self.vertex_on_boundary = tuple(onb)
+        self.vertex_on_boundary = onb
 
         self.edge_count = len(self.gluings) + len(self.free_sides)
         self.euler = len(self.vertices) - self.edge_count + len(cells)
@@ -122,8 +126,8 @@ class CWSurface:
         cuf = UnionFind()
         for (c1, _), (c2, _), _ in self.gluings:
             cuf.union(c1, c2)
-        self.components = tuple(tuple(grp) for grp in
-                                cuf.groups(range(len(cells))))
+        self.components = tuple([tuple(grp) for grp in
+                                 cuf.groups(range(len(cells)))])
         self.is_connected = len(self.components) <= 1
 
         self.orientable = self._orientable()

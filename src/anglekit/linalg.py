@@ -1,7 +1,10 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of rows, rows are lists of Fraction. Vectors are lists
-of Fraction. Functions return fresh objects; nothing mutates its input
+Matrices are lists of rows and vectors are lists; entries are int or
+Fraction, and a 'p/q' string is read as a Fraction. The elimination
+behind rref, nullspace and solve works on Fraction rows. rank scales
+each row to integers and eliminates fraction-free, and _rank_mod works
+over Z/p. Functions return fresh objects; nothing mutates its input
 unless the name says so.
 """
 
@@ -44,7 +47,9 @@ def transpose(m):
 
 
 def dot(u, v):
-    assert len(u) == len(v)
+    if len(u) != len(v):
+        raise ValueError("dot of vectors of lengths %d and %d"
+                         % (len(u), len(v)))
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
@@ -120,11 +125,59 @@ def rref(m):
     return work, pivots
 
 
+def _integer_row(row):
+    """(s, ints): s the lcm of the denominators of row, ints the entries
+    times s."""
+    s = 1
+    try:
+        for x in row:
+            if x.denominator != 1:
+                s = lcm(s, x.denominator)
+    except AttributeError:
+        return _integer_row([fr(x) for x in row])
+    if s == 1:
+        return 1, [x.numerator for x in row]
+    return s, [x.numerator * (s // x.denominator) for x in row]
+
+
 def rank(m):
-    if not m:
-        return 0
-    work = [list(row) for row in m]
-    return len(rref_in_place(work))
+    """Rank over Q by fraction-free (Bareiss) elimination.
+
+    Rows are scaled to integers first. After k pivots every remaining
+    entry is a (k+1)-minor of the scaled matrix, so the division by the
+    previous pivot is exact and no gcd is ever taken.
+    """
+    work = []
+    for row in m:
+        ints = _integer_row(row)[1]
+        if any(ints):
+            work.append(ints)
+    r = 0
+    prev = 1
+    c = 0
+    while work:
+        piv = None
+        for i, row in enumerate(work):
+            if row[c]:
+                piv = i
+                break
+        if piv is not None:
+            prow = work.pop(piv)
+            pv = prow[c]
+            rest = []
+            for row in work:
+                f = row[c]
+                if f:
+                    row = [(x * pv - f * p) // prev for x, p in zip(row, prow)]
+                elif pv != prev:
+                    row = [x * pv // prev for x in row]
+                if any(row):
+                    rest.append(row)
+            work = rest
+            prev = pv
+            r += 1
+        c += 1
+    return r
 
 
 MERSENNE_61 = (1 << 61) - 1

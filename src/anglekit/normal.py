@@ -49,11 +49,13 @@ class DiscTypeIndex:
         return 7 * self.size
 
     def quad(self, tet, slot):
-        assert 0 <= slot < 3
+        if not 0 <= slot < 3:
+            raise ValueError("quadrilateral slot %r out of range" % (slot,))
         return 3 * tet + slot
 
     def tri(self, tet, slot):
-        assert 0 <= slot < 4
+        if not 0 <= slot < 4:
+            raise ValueError("triangle slot %r out of range" % (slot,))
         return 3 * self.size + 4 * tet + slot
 
     def decode(self, idx):
@@ -121,8 +123,8 @@ class WZCoefficients:
     solutions: s = sum w[i] W_tet[i] + sum z[j] W_edge[j]."""
 
     def __init__(self, w, z):
-        self.w = tuple(fr(x) for x in w)
-        self.z = tuple(fr(x) for x in z)
+        self.w = tuple([fr(x) for x in w])
+        self.z = tuple([fr(x) for x in z])
 
     def __eq__(self, other):
         return (isinstance(other, WZCoefficients)

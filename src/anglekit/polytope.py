@@ -31,14 +31,20 @@ class VertexSolution:
     """
 
     def __init__(self, vector, dimension, support_rank, coefficients):
-        self.vector = tuple(int(x) for x in vector)
+        self.vector = tuple([int(x) for x in vector])
         total = sum(self.vector)
-        self.projective = tuple(Fraction(x, total) for x in self.vector)
-        self.support = tuple(i for i, x in enumerate(self.vector) if x != 0)
-        self.zero_set = tuple(i for i, x in enumerate(self.vector) if x == 0)
+        self.projective = tuple([Fraction(x, total) for x in self.vector])
         self.dimension = dimension
         self.support_rank = support_rank
         self.coefficients = coefficients
+
+    @property
+    def support(self):
+        return tuple([i for i, x in enumerate(self.vector) if x != 0])
+
+    @property
+    def zero_set(self):
+        return tuple([i for i, x in enumerate(self.vector) if x == 0])
 
     def __repr__(self):
         return "VertexSolution(%s)" % (list(self.vector),)
@@ -58,11 +64,33 @@ def _sorted_rows(rows):
 
 
 def _initial_cone(rows, order, d):
+    # take the first d independent rows in order. The chosen rows are
+    # kept in one fraction-free echelon form: each stored row is reduced
+    # against those before it, and a candidate, reduced row by row
+    # (Bareiss: every division by the previous pivot is exact), is
+    # independent exactly when something nonzero is left
     chosen = []
     rest = []
+    echelon = []    # (pivot column, reduced row)
     for r in order:
-        if len(chosen) < d and rank([rows[i] for i in chosen] + [rows[r]]) > len(chosen):
-            chosen.append(r)
+        if len(chosen) == d:
+            rest.append(r)
+            continue
+        v = rows[r]
+        prev = 1
+        for col, p in echelon:
+            pv = p[col]
+            f = v[col]
+            if f:
+                v = [(x * pv - f * y) // prev for x, y in zip(v, p)]
+            elif pv != prev:
+                v = [x * pv // prev for x in v]
+            prev = pv
+        for col, x in enumerate(v):
+            if x:
+                chosen.append(r)
+                echelon.append((col, v))
+                break
         else:
             rest.append(r)
     if len(chosen) != d:
@@ -158,7 +186,7 @@ def enumerate_vertices(tri, basis=None):
             raise CrossCheckError(
                 "double description emitted a ray outside the cone")
         g = gcd(*x)
-        out.setdefault(tuple(v // g for v in x),
+        out.setdefault(tuple([v // g for v in x]),
                        [Fraction(y, g) for y in c])
     result = []
     for vec in sorted(out):

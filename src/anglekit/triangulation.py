@@ -157,7 +157,8 @@ class Triangulation:
                 raise TriangulationError(
                     "face glued to itself in gluing %r" % (g.record(),))
             norm.append(g)
-        self.gluings = tuple(norm)
+        # a list, not a tuple: see CWSurface.vertices
+        self.gluings = norm
 
         self._glued = {}
         for gi, g in enumerate(self.gluings):

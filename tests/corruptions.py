@@ -1,9 +1,11 @@
 """Corrupted certificates and coefficients the package must reject.
 
-Each case feeds a checked function one deliberately wrong ingredient
-and must end in CrossCheckError. Run as a script, it prints one line
-per case, so a test can run it under `python -O` (which strips assert
-statements) and confirm the checks still fire:
+Each case in CASES feeds a checked function one deliberately wrong
+ingredient and must end in CrossCheckError; each case in
+ARGUMENT_CASES passes a malformed argument and must end in ValueError.
+Run as a script, it prints one line per case, so a test can run it
+under `python -O` (which strips assert statements) and confirm the
+checks still fire:
 
     PYTHONPATH=src:tests python -O tests/corruptions.py
 """
@@ -16,7 +18,10 @@ import anglekit.polytope as polytope
 import anglekit.prescribe as prescribe
 from anglekit.angles import decide, farkas_to_normal
 from anglekit.errors import CrossCheckError
-from anglekit.normal import WZCoefficients, coefficients, verify_basis
+from anglekit.linalg import dot
+from anglekit.lp import LPResult, _recheck, solve_lp
+from anglekit.normal import (DiscTypeIndex, WZCoefficients, coefficients,
+                             verify_basis)
 from anglekit.polytope import enumerate_vertices
 from anglekit.prescribe import (AreaCurvature, chi_ak, decide_prescribed,
                                 dual_to_normal)
@@ -82,12 +87,41 @@ def vertex_enumeration_with_short_ranks():
         enumerate_vertices(fig8)
 
 
+def lp_result_with_corrupted_dual():
+    rows, b, c = [[1, 1], [1, -1]], [2, 0], [1, 2]
+    res = solve_lp(rows, b, c)
+    y = [res.y[0], res.y[1] + 1]
+    _recheck(rows, b, c, LPResult("optimal", res.x, y, res.value))
+
+
+def lp_with_a_short_row():
+    solve_lp([[1, 1], [1]], [1, 1], [0, 0])
+
+
+def dot_of_unequal_lengths():
+    dot([1, 2], [1])
+
+
+def quad_slot_out_of_range():
+    DiscTypeIndex(1).quad(0, 3)
+
+
+def triangle_slot_out_of_range():
+    DiscTypeIndex(1).tri(0, 4)
+
+
 CASES = (farkas_certificate_with_corrupted_basis,
          farkas_certificate_with_corrupted_chi_star,
          dual_certificate_with_corrupted_pairing,
          vertex_solution_with_corrupted_coefficient,
          coefficients_with_corrupted_left_inverse,
-         vertex_enumeration_with_short_ranks)
+         vertex_enumeration_with_short_ranks,
+         lp_result_with_corrupted_dual)
+
+ARGUMENT_CASES = (lp_with_a_short_row,
+                  dot_of_unequal_lengths,
+                  quad_slot_out_of_range,
+                  triangle_slot_out_of_range)
 
 
 def outcome(case):
@@ -103,5 +137,5 @@ def outcome(case):
 
 if __name__ == "__main__":
     print("optimize %d" % sys.flags.optimize)
-    for case in CASES:
+    for case in CASES + ARGUMENT_CASES:
         print("%s %s" % (case.__name__, outcome(case)))

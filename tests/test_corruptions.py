@@ -16,9 +16,15 @@ def test_corruption_raises_cross_check_error(case):
     assert corruptions.outcome(case) == "CrossCheckError"
 
 
+@pytest.mark.parametrize("case", corruptions.ARGUMENT_CASES,
+                         ids=[c.__name__ for c in corruptions.ARGUMENT_CASES])
+def test_malformed_argument_raises_value_error(case):
+    assert corruptions.outcome(case) == "ValueError"
+
+
 def test_corruptions_still_raise_under_optimize_flag():
-    # python -O strips assert statements; the verdict checks must not
-    # be among them
+    # python -O strips assert statements; neither the verdict checks
+    # nor the argument checks may be among them
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, TESTS]))
     done = subprocess.run(
         [sys.executable, "-O", os.path.join(TESTS, "corruptions.py")],
@@ -26,5 +32,7 @@ def test_corruptions_still_raise_under_optimize_flag():
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert lines[0] == "optimize 1"
-    assert lines[1:] == ["%s CrossCheckError" % c.__name__
-                         for c in corruptions.CASES]
+    assert lines[1:] == (["%s CrossCheckError" % c.__name__
+                          for c in corruptions.CASES]
+                         + ["%s ValueError" % c.__name__
+                            for c in corruptions.ARGUMENT_CASES])

@@ -97,3 +97,33 @@ def test_rank_mod_small_prime_undercounts():
 def test_rank_mod_rejects_fractions():
     with pytest.raises(ValueError):
         _rank_mod([[Fraction(1, 2)]])
+
+
+rational_matrices = st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.lists(
+        st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=6),
+                 min_size=n, max_size=n),
+        min_size=1, max_size=6))
+
+
+@given(rational_matrices)
+def test_fraction_free_rank_matches_rref(m):
+    assert rank(m) == len(rref(m)[1])
+
+
+@given(matrices, st.data())
+def test_fraction_free_rank_of_dependent_rows(m, data):
+    # append integer and rational combinations of the rows: the rank
+    # must not move
+    coef = data.draw(st.lists(st.fractions(min_value=-3, max_value=3,
+                                           max_denominator=5),
+                              min_size=len(m), max_size=len(m)))
+    combo = [sum((c * row[j] for c, row in zip(coef, m)), Fraction(0))
+             for j in range(len(m[0]))]
+    assert rank(m + [combo]) == rank(m) == len(rref(m)[1])
+
+
+def test_rank_reads_strings_and_zero_rows():
+    assert rank([["1/2", "1/3"], [3, 2], [0, 0]]) == 1
+    assert rank([[0, 0], [0, 0]]) == 0
+    assert rank([]) == 0

@@ -4,6 +4,7 @@ from math import gcd
 import pytest
 
 import anglekit.polytope as polytope
+from anglekit.errors import CrossCheckError
 from anglekit.linalg import _rank_mod, dot, matvec, primitive, rank
 from anglekit.normal import (chi_star, expand, matching_matrix, verify_basis,
                              vertex_link_vector)
@@ -156,3 +157,37 @@ def test_short_modular_ranks_fall_back_to_exact(monkeypatch):
     assert all(vs.support_rank == vs.dimension - 1 for vs in found)
     assert len(exact) == calls + len(found)
     assert is_vertex(tri, found[0].vector)
+
+
+def rank_chosen_rows(rows, order, d):
+    """Oracle: the first d rows in order that raise the rank of those
+    chosen before them, by one rank call per candidate."""
+    chosen = []
+    for r in order:
+        if len(chosen) < d and rank([rows[i] for i in chosen]
+                                    + [rows[r]]) > len(chosen):
+            chosen.append(r)
+    return chosen
+
+
+def test_initial_cone_picks_the_rows_a_rank_test_picks(ex46, fig8,
+                                                       valid_corpus):
+    for tri in valid_corpus + [ex46, fig8, cyclic_cover(2), cyclic_cover(3),
+                               cyclic_cover(4)]:
+        basis = verify_basis(tri)
+        d = basis.dimension
+        rows = _constraint_rows(basis)
+        order = _sorted_rows(rows)
+        chosen, rest, rays = _initial_cone(rows, order, d)
+        assert chosen == rank_chosen_rows(rows, order, d)
+        assert sorted(chosen + rest) == list(range(len(rows)))
+        # each initial ray vanishes on every chosen row but its own
+        for j, ray in enumerate(rays):
+            vals = [dot(rows[i], ray) for i in chosen]
+            assert vals[j] > 0 and vals[:j] + vals[j + 1:] == [0] * (d - 1)
+
+
+def test_initial_cone_rejects_rank_deficient_rows():
+    rows = [[1, 2, 0], [2, 4, 0], [0, 0, 1], [1, 2, 1]]
+    with pytest.raises(CrossCheckError, match="lost rank"):
+        _initial_cone(rows, range(len(rows)), 3)
