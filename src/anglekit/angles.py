@@ -11,7 +11,7 @@ the vertex-solution criterion, and insists the two verdicts agree.
 from fractions import Fraction
 
 from .errors import CrossCheckError
-from .linalg import fr, matvec, rank, solve
+from .linalg import fr, matvec, rank, solve, vec
 from .lp import solve_lp
 from .normal import (QUAD_AT_EDGE, WZCoefficients, chi_star, expand,
                      verify_basis)
@@ -95,6 +95,12 @@ class FarkasWitness:
     def quad_part(self):
         return self.normal_vector[:3 * self.tri.size]
 
+    def report(self):
+        """The certificate as a report record, rationals as Fractions."""
+        return {"violated": self.violated_kind, "w": vec(self.wz.w),
+                "z": vec(self.wz.z), "normal_vector": vec(self.normal_vector),
+                "chi_star": fr(self.chi_value)}
+
     def __repr__(self):
         return "FarkasWitness(%s, chi*=%s)" % (self.violated_kind,
                                                self.chi_value)
@@ -153,23 +159,44 @@ def farkas_to_normal(basis, dual, violated_kind):
     return FarkasWitness(tri, wz, vec, chi, violated_kind)
 
 
-class RouteRecord:
-    """Verdicts of the LP route and the criterion route side by side."""
+# what the criterion route promises about the verdict, by the sign
+# regime of the prescribed areas: nonpositive areas make the chi
+# conditions necessary, nonnegative ones sufficient, zero both
+PROMISES = {None: "equivalent", "zero": "equivalent",
+            "nonpositive": "necessary only",
+            "nonnegative": "sufficient only", "mixed": "not applicable"}
 
-    def __init__(self, lp, criterion, skipped_reason=None):
+
+class RouteRecord:
+    """Verdicts of the LP route and the criterion route side by side.
+
+    regime is the sign regime of the prescribed areas, None when nothing
+    is prescribed (or the kind is generalised, where the chi conditions
+    decide outright); promise reads off what the criterion then claims.
+    """
+
+    def __init__(self, lp, criterion, skipped_reason=None, regime=None):
         self.lp = lp
         self.criterion = criterion
         self.skipped_reason = skipped_reason
+        self.regime = regime
 
     @property
     def criterion_ran(self):
         return self.criterion is not None
 
+    @property
+    def promise(self):
+        return PROMISES[self.regime]
+
     def __repr__(self):
         if self.criterion is None:
-            return "RouteRecord(lp=%s, criterion skipped: %s)" % (
-                self.lp, self.skipped_reason)
-        return "RouteRecord(lp=%s, criterion=%s)" % (self.lp, self.criterion)
+            text = "criterion skipped: %s" % (self.skipped_reason,)
+        else:
+            text = "criterion=%s" % (self.criterion,)
+        if self.regime is not None:
+            text += ", areas %s" % (self.regime,)
+        return "RouteRecord(lp=%s, %s)" % (self.lp, text)
 
 
 class Decision:
@@ -188,28 +215,29 @@ class Decision:
             self.dimension)
 
 
-def _lp_generalised(a, b):
-    x, y = solve(a, b)
-    if x is not None:
-        return True, x, None
-    return False, None, y
+def _exact_route(a, b, kind):
+    """Solve A x = b with the sign kind asks for, exactly.
 
-
-def _lp_semi(a, b):
-    res = solve_lp(a, b, [Fraction(0)] * len(a[0]))
-    if res.status == "optimal":
-        return True, res.x, None
-    if res.status != "infeasible":
-        raise CrossCheckError("semi LP ended %s" % (res.status,))
-    return False, None, res.y
-
-
-def _lp_strict(a, b):
+    Returns (feasible, x, y, violated): a solution x, or a dual y
+    obstructing the kind named by violated. Generalised solves the
+    equations outright, semi runs one LP with zero cost, and strict
+    widens the system by a uniform margin.
+    """
+    if kind == "generalised":
+        x, y = solve(a, b)
+        return x is not None, x, y, kind
+    m = len(a)
+    cols = len(a[0])
+    if kind == "semi":
+        res = solve_lp(a, b, [Fraction(0)] * cols)
+        if res.status == "optimal":
+            return True, res.x, None, kind
+        if res.status != "infeasible":
+            raise CrossCheckError("semi LP ended %s" % (res.status,))
+        return False, None, res.y, kind
     # x = u + eps * ones with u >= 0: maximising eps over
     # A u + eps (A 1) = b, eps + slack = 1 finds the largest uniform
     # margin; strict solutions exist exactly when it is positive
-    m = len(a)
-    cols = len(a[0])
     c = [sum(row) for row in a]
     wide = [list(row) + [c[i], Fraction(0)] for i, row in enumerate(a)]
     wide.append([Fraction(0)] * cols + [Fraction(1), Fraction(1)])
@@ -224,10 +252,22 @@ def _lp_strict(a, b):
         raise CrossCheckError("strict LP ended %s" % (res.status,))
     eps = res.x[cols]
     if eps > 0:
-        x = [u + eps for u in res.x[:cols]]
-        return True, x, None, None
-    y = [-v for v in res.y[:m]]
-    return False, None, y, "strict"
+        return True, [u + eps for u in res.x[:cols]], None, kind
+    return False, None, [-v for v in res.y[:m]], kind
+
+
+def _witness_dimension(a, b, kind, witness, unit):
+    """Check the sign of a feasible witness of kind, then return the
+    dimension of the solution set it lies in: the semi polytope for
+    semi, the affine solution space otherwise. unit names one value
+    ("angle" or "wedge") in the error."""
+    if kind == "semi":
+        if not witness.is_semi:
+            raise CrossCheckError("semi witness has a negative %s" % unit)
+        return _semi_dimension(a, b, witness.values)
+    if kind == "strict" and not witness.is_strict:
+        raise CrossCheckError("strict witness has a nonpositive %s" % unit)
+    return len(a[0]) - rank(a)
 
 
 def _semi_dimension(a, b, x):
@@ -273,13 +313,7 @@ def decide(tri, kind):
     a, b = angle_matrix(tri)
     t = tri.size
     basis = None
-    violated = kind
-    if kind == "generalised":
-        feasible, x, y = _lp_generalised(a, b)
-    elif kind == "semi":
-        feasible, x, y = _lp_semi(a, b)
-    else:
-        feasible, x, y, violated = _lp_strict(a, b)
+    feasible, x, y, violated = _exact_route(a, b, kind)
 
     # the classification theorems live in the ideal-triangulation
     # setting: closed links and no edge identified with itself in
@@ -323,20 +357,12 @@ def decide(tri, kind):
     dimension = None
     if feasible:
         witness = AngleAssignment(tri, x)
-        if kind == "semi":
-            if not witness.is_semi:
-                raise CrossCheckError("semi witness has a negative angle")
-            dimension = _semi_dimension(a, b, witness.values)
-        else:
-            if kind == "strict" and not witness.is_strict:
-                raise CrossCheckError(
-                    "strict witness has a nonpositive angle")
-            dimension = 3 * t - rank(a)
-            if (torus_klein and not inverted
-                    and dimension != t + len(tri.vertices)):
-                raise CrossCheckError(
-                    "angle space dimension %d, expected t + v = %d"
-                    % (dimension, t + len(tri.vertices)))
+        dimension = _witness_dimension(a, b, kind, witness, "angle")
+        if (kind != "semi" and torus_klein and not inverted
+                and dimension != t + len(tri.vertices)):
+            raise CrossCheckError(
+                "angle space dimension %d, expected t + v = %d"
+                % (dimension, t + len(tri.vertices)))
     else:
         if basis is None:
             basis = verify_basis(tri)

@@ -248,21 +248,6 @@ def parse_data(text, tri):
     return AreaCurvature(tri, areas, curvs)
 
 
-def _vertex_by_name(tri, name):
-    if isinstance(name, int):
-        index = name
-    elif name in tri.vertex_labels:
-        return tri.vertex_labels[name]
-    else:
-        try:
-            index = int(name)
-        except ValueError:
-            raise TriangulationError("unknown vertex %r" % (name,))
-    if not (0 <= index < len(tri.vertices)):
-        raise TriangulationError("vertex index %r out of range" % (name,))
-    return index
-
-
 # -- report rendering ---------------------------------------------------
 
 def rational_string(x):
@@ -313,17 +298,9 @@ def _decision_report(tri, decision):
     else:
         routes["criterion"] = "skipped"
         routes["criterion_skipped_because"] = route.skipped_reason
-    regime = getattr(route, "regime", None)
-    if regime is not None:
-        routes["area_sign_regime"] = regime
-        if regime == "mixed":
-            routes["criterion_meaning"] = "not applicable"
-        elif regime == "nonpositive":
-            routes["criterion_meaning"] = "necessary only"
-        elif regime == "nonnegative":
-            routes["criterion_meaning"] = "sufficient only"
-        else:
-            routes["criterion_meaning"] = "equivalent"
+    if route.regime is not None:
+        routes["area_sign_regime"] = route.regime
+        routes["criterion_meaning"] = route.promise
     out = {
         "kind": decision.kind,
         "feasible": decision.feasible,
@@ -333,24 +310,8 @@ def _decision_report(tri, decision):
         out["dimension"] = decision.dimension
     if decision.witness is not None:
         out["witness"] = _vector(decision.witness.values)
-    cert = decision.certificate
-    if cert is not None:
-        if hasattr(cert, "wz"):
-            out["certificate"] = {
-                "violated": cert.violated_kind,
-                "w": _vector(cert.wz.w),
-                "z": _vector(cert.wz.z),
-                "normal_vector": _vector(cert.normal_vector),
-                "chi_star": Fraction(cert.chi_value),
-            }
-        else:
-            out["certificate"] = {
-                "violated": cert.violated_kind,
-                "dual": _vector(cert.values),
-                "normal_vector": _vector(cert.normal_vector),
-                "pairing": Fraction(cert.pairing),
-                "chi_gap": Fraction(cert.chi_gap),
-            }
+    if decision.certificate is not None:
+        out["certificate"] = decision.certificate.report()
     return out
 
 
@@ -457,7 +418,7 @@ def run(command, path, options):
         status = 0 if decision.feasible else 1
     elif command == "gb":
         name = options.get("vertex")
-        v = 0 if name is None else _vertex_by_name(tri, name)
+        v = 0 if name is None else tri.vertex_by_name(name)
         surface = vertex_link_surface(tri, v)
         curvs = _parse_overrides(options.get("curv"),
                                  len(surface.vertices), "curvature")

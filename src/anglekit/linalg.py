@@ -16,28 +16,11 @@ def fr(x):
     """Coerce to Fraction. Accepts int, Fraction, or a 'p/q' string."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, str):
-        return Fraction(x)
     return Fraction(x)
 
 
 def vec(entries):
     return [fr(x) for x in entries]
-
-
-def mat(rows):
-    return [[fr(x) for x in row] for row in rows]
-
-
-def zeros(m, n):
-    return [[Fraction(0)] * n for _ in range(m)]
-
-
-def identity(n):
-    rows = zeros(n, n)
-    for i in range(n):
-        rows[i][i] = Fraction(1)
-    return rows
 
 
 def transpose(m):
@@ -60,19 +43,6 @@ def matvec(m, v):
 def matmul(a, b):
     bt = transpose(b)
     return [[dot(row, col) for col in bt] for row in a]
-
-
-def vec_add(u, v):
-    return [a + b for a, b in zip(u, v)]
-
-
-def vec_sub(u, v):
-    return [a - b for a, b in zip(u, v)]
-
-
-def vec_scale(c, v):
-    c = fr(c)
-    return [c * a for a in v]
 
 
 def is_zero_vec(v):

@@ -246,16 +246,3 @@ def _recheck(rows, b, c, res):
     if res.value != dot(c, x) or Fraction(yb, big) != res.value:
         raise CrossCheckError("LP dual value differs from the optimum")
     return res
-
-
-def feasible_point(a_rows, b):
-    """A nonnegative solution of A x = b, or the Farkas certificate.
-
-    Returns (x, None) when feasible, (None, y) with A^T y <= 0 and
-    y . b > 0 when not.
-    """
-    n = len(a_rows[0]) if a_rows else 0
-    res = solve_lp(a_rows, b, [Fraction(0)] * n)
-    if res.status == "infeasible":
-        return None, res.y
-    return res.x, None

@@ -23,28 +23,17 @@ from .normal import (WZCoefficients, _matching_residual, coefficients,
 class VertexSolution:
     """An extreme ray of the nonnegative solution cone.
 
-    vector is the primitive integer form, projective the rescaling with
-    coordinate sum 1, and coefficients the (w, z) coefficients of vector
-    over the tetrahedral and edge solutions. support_rank is the rank of
-    the kernel parametrisation restricted to the zero set; extremality
-    is support_rank == dimension - 1.
+    vector is the primitive integer form and coefficients its (w, z)
+    coefficients over the tetrahedral and edge solutions. support_rank
+    is the rank of the kernel parametrisation restricted to the zero
+    set; extremality is support_rank == dimension - 1.
     """
 
     def __init__(self, vector, dimension, support_rank, coefficients):
         self.vector = tuple([int(x) for x in vector])
-        total = sum(self.vector)
-        self.projective = tuple([Fraction(x, total) for x in self.vector])
         self.dimension = dimension
         self.support_rank = support_rank
         self.coefficients = coefficients
-
-    @property
-    def support(self):
-        return tuple([i for i, x in enumerate(self.vector) if x != 0])
-
-    @property
-    def zero_set(self):
-        return tuple([i for i, x in enumerate(self.vector) if x == 0])
 
     def __repr__(self):
         return "VertexSolution(%s)" % (list(self.vector),)

@@ -13,18 +13,18 @@ decide_prescribed() solves that system exactly and, where the chi
 criteria apply, checks them against the verdict: equality of chi and
 chi_ak on vertex links decides the generalised kind outright, while
 for semi and strict the promise depends on the sign of the prescribed
-areas (nonpositive areas make the conditions necessary, nonnegative
-ones sufficient, zero both).
+areas (RouteRecord.promise).
 """
 
 from fractions import Fraction
 
 from .errors import CrossCheckError
-from .linalg import dot, fr, is_zero_vec, matvec, matmul, nullspace, rank, transpose
+from .linalg import (dot, fr, is_zero_vec, matvec, matmul, nullspace,
+                     transpose, vec)
 from .normal import TRI_CORNER_EDGES, WZCoefficients, chi_star, coefficients, \
     expand, verify_basis, vertex_link_vector
-from .angles import Decision, RouteRecord, angle_matrix, _lp_generalised, \
-    _lp_semi, _lp_strict, _semi_dimension
+from .angles import (Decision, RouteRecord, angle_matrix, _exact_route,
+                     _witness_dimension)
 from .polytope import enumerate_vertices
 from .triangulation import EDGE_INDEX, EDGE_VERTICES, vertex_link_surface
 
@@ -304,6 +304,12 @@ class DualCertificate:
         self.pairing = pairing
         self.chi_gap = chi_gap
 
+    def report(self):
+        """The certificate as a report record, rationals as Fractions."""
+        return {"violated": self.violated_kind, "dual": vec(self.values),
+                "normal_vector": vec(self.normal_vector),
+                "pairing": fr(self.pairing), "chi_gap": fr(self.chi_gap)}
+
     def __repr__(self):
         return "DualCertificate(%s, pairing=%s, chi gap=%s)" % (
             self.violated_kind, self.pairing, self.chi_gap)
@@ -358,23 +364,6 @@ def dual_to_normal(tri, basis, ac, hz, violated_kind):
     return DualCertificate(tri, hz, violated_kind, vec, pairing, gap)
 
 
-class PrescribedRoute(RouteRecord):
-    """Route record that also carries the sign regime of the prescribed
-    areas, which fixes what the chi conditions promise: "zero" means
-    equivalence, "nonpositive" necessity only, "nonnegative"
-    sufficiency only, "mixed" nothing."""
-
-    def __init__(self, lp, criterion, skipped_reason=None, regime=None):
-        RouteRecord.__init__(self, lp, criterion, skipped_reason)
-        self.regime = regime
-
-    def __repr__(self):
-        base = RouteRecord.__repr__(self)
-        if self.regime is None:
-            return base
-        return base[:-1] + ", areas %s)" % (self.regime,)
-
-
 def _chi_conditions(tri, basis, ac, kind):
     # vertex links must match chi_ak exactly; for semi and strict the
     # vertex solutions bound it from below as well
@@ -415,13 +404,7 @@ def decide_prescribed(tri, ac, kind):
     rows, rhs = b_system(tri, ac)
     t = tri.size
     n = len(tri.edges)
-    violated = kind
-    if kind == "generalised":
-        feasible, x, y = _lp_generalised(rows, rhs)
-    elif kind == "semi":
-        feasible, x, y = _lp_semi(rows, rhs)
-    else:
-        feasible, x, y, violated = _lp_strict(rows, rhs)
+    feasible, x, y, violated = _exact_route(rows, rhs, kind)
 
     # an inverted edge shifts chi* of a link vector away from the
     # link's Euler characteristic, so the chi conditions only apply
@@ -429,15 +412,16 @@ def decide_prescribed(tri, ac, kind):
     basis = None
     criterion = None
     skipped = None
-    regime = None if kind == "generalised" else ac.area_regime
     if tri.has_inverted_edge:
         skipped = "an edge class is identified with itself in reverse"
     else:
         basis = verify_basis(tri)
         criterion = _chi_conditions(tri, basis, ac, kind)
+    agreement = RouteRecord(feasible, criterion, skipped,
+                            None if kind == "generalised" else ac.area_regime)
     if criterion is not None:
-        necessary = kind == "generalised" or regime in ("zero", "nonpositive")
-        sufficient = kind == "generalised" or regime in ("zero", "nonnegative")
+        necessary = agreement.promise in ("equivalent", "necessary only")
+        sufficient = agreement.promise in ("equivalent", "sufficient only")
         if necessary and feasible and not criterion:
             raise CrossCheckError(
                 "prescribed %s: system solvable but the chi conditions fail"
@@ -446,7 +430,6 @@ def decide_prescribed(tri, ac, kind):
             raise CrossCheckError(
                 "prescribed %s: chi conditions hold but the system is "
                 "infeasible" % (kind,))
-    agreement = PrescribedRoute(feasible, criterion, skipped, regime)
 
     witness = None
     certificate = None
@@ -457,19 +440,11 @@ def decide_prescribed(tri, ac, kind):
         if induced != ac:
             raise CrossCheckError(
                 "wedge witness does not induce the prescription")
-        if kind == "semi":
-            if not witness.is_semi:
-                raise CrossCheckError("semi witness has a negative wedge")
-            dimension = _semi_dimension(rows, rhs, witness.values)
-        else:
-            if kind == "strict" and not witness.is_strict:
-                raise CrossCheckError(
-                    "strict witness has a nonpositive wedge")
-            dimension = 6 * t - rank(rows)
-            if dimension != 2 * t - n + len(tri.vertices):
-                raise CrossCheckError(
-                    "wedge space dimension %d, expected 2t - n + v = %d"
-                    % (dimension, 2 * t - n + len(tri.vertices)))
+        dimension = _witness_dimension(rows, rhs, kind, witness, "wedge")
+        if kind != "semi" and dimension != 2 * t - n + len(tri.vertices):
+            raise CrossCheckError(
+                "wedge space dimension %d, expected 2t - n + v = %d"
+                % (dimension, 2 * t - n + len(tri.vertices)))
     else:
         if basis is None:
             basis = verify_basis(tri)

@@ -11,6 +11,7 @@ quotient need not be a manifold.
 """
 
 from .cwsurface import CWSurface, UnionFind
+from .errors import CrossCheckError
 
 # The six edges of a tetrahedron, indexed by their vertex pairs in
 # lexicographic order. Edge 5 - e is opposite edge e.
@@ -264,7 +265,10 @@ class Triangulation:
                 self.edges.append(EdgeClass(idx, embeddings, on_boundary,
                                             inverted, label))
                 for emb in embeddings:
-                    assert emb not in self.edge_class_of
+                    if emb in self.edge_class_of:
+                        raise CrossCheckError(
+                            "edge embedding %r lies in two edge classes"
+                            % (emb,))
                     self.edge_class_of[emb] = idx
         self.edge_labels = {e.label: e.index for e in self.edges}
 
@@ -310,7 +314,10 @@ class Triangulation:
             head_a = xa[(sa + 1) % 3]
             tail_b = xb[sb]
             head_b = xb[(sb + 1) % 3]
-            assert {mp[tail_a], mp[head_a]} == {tail_b, head_b}
+            if {mp[tail_a], mp[head_a]} != {tail_b, head_b}:
+                raise CrossCheckError(
+                    "link sides do not match across gluing %r"
+                    % (g.record(),))
             flip = mp[tail_a] == tail_b
             records.append(((a, sa), (b, sb), flip))
         return CWSurface(cells, records)
@@ -323,7 +330,9 @@ class Triangulation:
         self._links = []
         for vc in self.vertices:
             surf = self._link_surface(vc, arcs[vc.index])
-            assert surf.is_connected
+            if not surf.is_connected:
+                raise CrossCheckError("link of vertex %s is disconnected"
+                                      % (vc.label,))
             self._links.append(surf)
             vc.link_euler = surf.euler
             vc.link_orientable = surf.orientable
@@ -348,20 +357,28 @@ class Triangulation:
         self.vertices[index].label = label
         self.vertex_labels[label] = index
 
-    def edge_by_name(self, name):
-        """Edge index from a label or a 0-based index string or int."""
+    def _by_name(self, what, labels, count, name):
         if isinstance(name, int):
             idx = name
-        elif name in self.edge_labels:
-            return self.edge_labels[name]
+        elif name in labels:
+            return labels[name]
         else:
             try:
                 idx = int(name)
             except ValueError:
-                raise TriangulationError("unknown edge %r" % (name,))
-        if not (0 <= idx < len(self.edges)):
-            raise TriangulationError("edge index %r out of range" % (name,))
+                raise TriangulationError("unknown %s %r" % (what, name))
+        if not (0 <= idx < count):
+            raise TriangulationError("%s index %r out of range" % (what, name))
         return idx
+
+    def edge_by_name(self, name):
+        """Edge index from a label or a 0-based index string or int."""
+        return self._by_name("edge", self.edge_labels, len(self.edges), name)
+
+    def vertex_by_name(self, name):
+        """Vertex index from a label or a 0-based index string or int."""
+        return self._by_name("vertex", self.vertex_labels,
+                             len(self.vertices), name)
 
     def __repr__(self):
         return "Triangulation(t=%d, edges=%d, vertices=%d%s)" % (

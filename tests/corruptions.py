@@ -16,6 +16,7 @@ from unittest import mock
 import anglekit.angles as angles
 import anglekit.polytope as polytope
 import anglekit.prescribe as prescribe
+import anglekit.triangulation as triangulation
 from anglekit.angles import decide, farkas_to_normal
 from anglekit.errors import CrossCheckError
 from anglekit.linalg import dot
@@ -25,6 +26,7 @@ from anglekit.normal import (DiscTypeIndex, WZCoefficients, coefficients,
 from anglekit.polytope import enumerate_vertices
 from anglekit.prescribe import (AreaCurvature, chi_ak, decide_prescribed,
                                 dual_to_normal)
+from anglekit.triangulation import Triangulation, build
 from corpus import shipped
 
 
@@ -87,6 +89,33 @@ def vertex_enumeration_with_short_ranks():
         enumerate_vertices(fig8)
 
 
+def edge_traces_that_overlap():
+    # every edge slot traced to the same single embedding
+    with mock.patch.object(Triangulation, "_trace_edge",
+                           lambda self, tet, slot: ([(0, 0)], False, False)):
+        build(1, [])
+
+
+def link_sides_that_do_not_match():
+    # each link side moved one step round its link triangle
+    side = triangulation._link_side
+    with mock.patch.object(triangulation, "_link_side",
+                           lambda c, f: (side(c, f) + 1) % 3):
+        shipped("fig8")
+
+
+def vertex_link_that_is_disconnected():
+    surface = triangulation.CWSurface
+
+    def disconnected(cells, records):
+        surf = surface(cells, records)
+        surf.is_connected = False
+        return surf
+
+    with mock.patch.object(triangulation, "CWSurface", disconnected):
+        build(1, [])
+
+
 def lp_result_with_corrupted_dual():
     rows, b, c = [[1, 1], [1, -1]], [2, 0], [1, 2]
     res = solve_lp(rows, b, c)
@@ -116,6 +145,9 @@ CASES = (farkas_certificate_with_corrupted_basis,
          vertex_solution_with_corrupted_coefficient,
          coefficients_with_corrupted_left_inverse,
          vertex_enumeration_with_short_ranks,
+         edge_traces_that_overlap,
+         link_sides_that_do_not_match,
+         vertex_link_that_is_disconnected,
          lp_result_with_corrupted_dual)
 
 ARGUMENT_CASES = (lp_with_a_short_row,

@@ -7,7 +7,7 @@ from anglekit.angles import (AngleAssignment, _semi_dimension, angle_matrix,
                              decide)
 from anglekit.errors import CrossCheckError
 from anglekit.linalg import nullspace, rank
-from anglekit.lp import LPResult, feasible_point, solve_lp
+from anglekit.lp import LPResult, solve_lp
 from anglekit.normal import chi_star
 from anglekit.prescribe import (AreaCurvature, WedgeAssignment, b_system,
                                 induced_area_curvature)
@@ -155,9 +155,10 @@ def test_semi_dimension_matches_per_coordinate_lps(valid_corpus, fig8):
     systems.append(pinned_wedge_system(fig8))
     compared = with_pins = 0
     for a, b in systems:
-        x, _ = feasible_point(a, b)
-        if x is None:
+        res = solve_lp(a, b, [0] * len(a[0]))
+        if res.status != "optimal":
             continue
+        x = res.x
         dim, pinned = semi_dimension_oracle(a, b)
         assert _semi_dimension(a, b, x) == dim
         compared += 1

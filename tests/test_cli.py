@@ -1,4 +1,8 @@
 import json
+import os
+import re
+import subprocess
+import sys
 from fractions import Fraction
 from importlib import resources
 
@@ -284,6 +288,52 @@ def test_main_unexpected_failure_exits_2(exc, monkeypatch, capsys):
     assert main(["info", data_path("fig8")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("internal error: %s" % type(exc).__name__)
+
+
+# runs the commands whose reports rest on checked verdicts, in JSON, in
+# one interpreter; the first line is the interpreter's optimize flag
+OPTIMIZE_SCRIPT = """
+import contextlib, io, sys
+from importlib import resources
+from anglekit.cli import main
+print("optimize", sys.flags.optimize)
+for name in ("fig8", "example_4_6"):
+    path = str(resources.files("anglekit") / "data" / (name + ".tri"))
+    for argv in (["decide", "--kind", "generalised"],
+                 ["decide", "--kind", "semi"],
+                 ["decide", "--kind", "strict"],
+                 ["prescribe", "--kind", "semi", "--data", sys.argv[1]],
+                 ["vertices"], ["basis"]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            status = main(["--json"] + argv + [path])
+        print(name, argv[0], status)
+        print(out.getvalue())
+"""
+
+
+def test_cli_reports_identical_under_optimize_flag(tmp_path):
+    # python -O strips assert statements; no verdict, witness or
+    # certificate may depend on one
+    data = tmp_path / "p.ak"
+    data.write_text("area 0 0 1/8\narea 0 1 -1/4\ncurv 0 1/2\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    outputs = []
+    for flags in (["-O"], []):
+        done = subprocess.run(
+            [sys.executable] + flags + ["-c", OPTIMIZE_SCRIPT, str(data)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outputs.append(re.sub(r'"elapsed_seconds": [0-9.e-]+', "",
+                              done.stdout).splitlines())
+    optimized, plain = outputs
+    assert optimized[0] == "optimize 1" and plain[0] == "optimize 0"
+    assert optimized[1:] == plain[1:]
+    assert sum(line.startswith(("fig8 ", "example_4_6 "))
+               for line in plain) == 12
+    assert '"certificate": {' in "\n".join(plain)
 
 
 def test_main_info_on_long_chain(tmp_path, capsys):

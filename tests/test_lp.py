@@ -9,7 +9,7 @@ import anglekit.angles as angles
 from anglekit.angles import decide
 from anglekit.errors import CrossCheckError
 from anglekit.linalg import dot, fr, matvec, transpose, vec
-from anglekit.lp import LPResult, _recheck, feasible_point, solve_lp
+from anglekit.lp import LPResult, _recheck, solve_lp
 from anglekit.prescribe import AreaCurvature, decide_prescribed
 from corpus import cyclic_cover, one_tet_closed, shipped
 
@@ -186,12 +186,14 @@ def test_constructed_feasible_never_infeasible(sys_):
 @given(systems)
 def test_feasible_point_dichotomy(sys_):
     rows, b, _, _ = sys_
-    x, y = feasible_point(rows, b)
-    if x is not None:
-        assert y is None
+    res = solve_lp(rows, b, [0] * len(rows[0]))
+    assert res.status in ("optimal", "infeasible")
+    if res.status == "optimal":
+        x = res.x
         assert matvec(rows, x) == [Fraction(v) for v in b]
         assert all(v >= 0 for v in x)
     else:
+        y = res.y
         assert all(v <= 0 for v in matvec(transpose(rows), y))
         assert dot(y, vec(b)) > 0
 

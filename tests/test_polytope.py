@@ -73,7 +73,6 @@ def test_vertex_solution_invariants(ex46, fig8):
             for x in vs.vector:
                 g = gcd(g, x)
             assert g == 1  # primitive integer form
-            assert sum(vs.projective) == 1
             assert vs.support_rank == vs.dimension - 1
             assert is_vertex(tri, vs.vector)
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from anglekit.angles import decide
+from anglekit.angles import RouteRecord, decide
 from anglekit.cwsurface import cell_area, gauss_bonnet_check
 from anglekit.errors import CrossCheckError
 from anglekit.linalg import dot, nullspace, transpose
@@ -60,6 +60,29 @@ def test_area_regimes(ex46):
         == "nonnegative"
     assert AreaCurvature(ex46, [1, -1, 0, 0], [0] * 3).area_regime \
         == "mixed"
+
+
+@pytest.mark.parametrize("regime, promise", [
+    (None, "equivalent"), ("zero", "equivalent"),
+    ("nonpositive", "necessary only"), ("nonnegative", "sufficient only"),
+    ("mixed", "not applicable")])
+def test_route_record_promise_and_repr(ex46, regime, promise):
+    ran = RouteRecord(True, False, regime=regime)
+    skipped = RouteRecord(False, None, "no theorem applies", regime)
+    assert ran.promise == skipped.promise == promise
+    areas = "" if regime is None else ", areas %s" % regime
+    assert repr(ran) == "RouteRecord(lp=True, criterion=False%s)" % areas
+    assert repr(skipped) == ("RouteRecord(lp=False, criterion skipped: "
+                             "no theorem applies%s)" % areas)
+    # decide_prescribed records the regime of the areas for semi and
+    # strict, and none for generalised, whose conditions decide outright
+    if regime is not None:
+        areas = {"zero": [0] * 4, "nonpositive": [0, -1, 0, 0],
+                 "nonnegative": [1, 0, 0, 0], "mixed": [1, -1, 0, 0]}[regime]
+        ac = AreaCurvature(ex46, areas, [0] * 3)
+        assert decide_prescribed(ex46, ac, "semi").agreement.regime == regime
+        assert decide_prescribed(ex46, ac, "generalised").agreement.regime \
+            is None
 
 
 @given(st.lists(rationals, min_size=7, max_size=7))

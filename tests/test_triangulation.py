@@ -108,13 +108,22 @@ def test_link_surfaces_partition_corners(ex46, fig8, unglued):
 
 def test_labels(ex46):
     assert [e.label for e in ex46.edges] == ["e1", "e2", "e3"]
-    assert ex46.edge_by_name("e2") == 1
-    assert ex46.edge_by_name("1") == 1
-    assert ex46.edge_by_name(0) == 0
-    with pytest.raises(TriangulationError):
-        ex46.edge_by_name("nope")
-    with pytest.raises(TriangulationError):
-        ex46.edge_by_name("7")
+    assert [v.label for v in ex46.vertices] == ["v1", "v2"]
+
+
+@pytest.mark.parametrize("what", ["edge", "vertex"])
+def test_lookup_by_name(ex46, what):
+    lookup = getattr(ex46, what + "_by_name")
+    count = len(ex46.edges if what == "edge" else ex46.vertices)
+    assert lookup(what[0] + "2") == 1    # label
+    assert lookup("1") == 1              # index string
+    assert lookup(0) == 0                # int
+    with pytest.raises(TriangulationError, match="unknown %s 'nope'" % what):
+        lookup("nope")
+    for index in (str(count), count, "7", -1):
+        with pytest.raises(TriangulationError,
+                           match="%s index .* out of range" % what):
+            lookup(index)
 
 
 def test_label_assignment():
