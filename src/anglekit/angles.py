@@ -297,6 +297,21 @@ def _semi_dimension(a, b, x):
     return cols - rank(a + pins)
 
 
+def _vertex_criterion(tri, basis, kind, bound):
+    """The chi* criterion over the vertex solutions: for semi, chi*
+    minus bound(s) is at most 0 at every vertex solution s; for strict,
+    it is below 0 at every vertex solution with a positive quad."""
+    t = tri.size
+    for vs in enumerate_vertices(tri, basis):
+        s = vs.vector
+        if kind == "strict" and not any(s[:3 * t]):
+            continue
+        excess = chi_star(tri, s) - bound(s)
+        if excess > 0 or (kind == "strict" and excess == 0):
+            return False
+    return True
+
+
 def decide(tri, kind):
     """Decide existence of an angle structure of the given kind.
 
@@ -339,13 +354,7 @@ def decide(tri, kind):
             skipped = "an edge class is identified with itself in reverse"
         else:
             basis = verify_basis(tri)
-            verts = enumerate_vertices(tri, basis)
-            if kind == "semi":
-                criterion = all(chi_star(tri, v.vector) <= 0 for v in verts)
-            else:
-                criterion = all(
-                    chi_star(tri, v.vector) < 0 for v in verts
-                    if any(q > 0 for q in v.vector[:3 * t]))
+            criterion = _vertex_criterion(tri, basis, kind, lambda s: 0)
     if criterion is not None and criterion != feasible:
         raise CrossCheckError(
             "%s: LP says %s but the classification criterion says %s"

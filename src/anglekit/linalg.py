@@ -33,7 +33,7 @@ def dot(u, v):
     if len(u) != len(v):
         raise ValueError("dot of vectors of lengths %d and %d"
                          % (len(u), len(v)))
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+    return sum((a * b for a, b in zip(u, v) if a), Fraction(0))
 
 
 def matvec(m, v):

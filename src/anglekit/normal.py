@@ -16,7 +16,7 @@ solution per edge class.
 from fractions import Fraction
 
 from .errors import CrossCheckError
-from .linalg import _rank_mod, fr, rank, rref_in_place
+from .linalg import _rank_mod, fr, rank
 from .triangulation import EDGE_INDEX, EDGE_VERTICES, FACE_VERTICES
 
 # Quadrilateral slot m separates the two vertex pairs QUAD_PAIRS[m] and
@@ -166,11 +166,6 @@ class SolutionBasis:
                     % (vector_rank, kernel_dim, expected))
         self.dimension = expected
         self._sparse_matching = sparse
-        # columns of the expansion map, for coefficient extraction
-        self._columns = [list(col) for col in zip(*vectors)]
-        # (coordinate rows, inverse of their square block), built by
-        # the first coefficients() call
-        self._left_inverse = None
 
     def __repr__(self):
         return "SolutionBasis(t=%d, edges=%d, dim=%d)" % (
@@ -200,11 +195,13 @@ def expand(basis, coeffs):
     for wi, vecv in zip(w, basis.tet_solutions):
         if wi:
             for r, x in enumerate(vecv):
-                out[r] += wi * x
+                if x:
+                    out[r] += wi * x
     for zj, vecv in zip(z, basis.edge_solutions):
         if zj:
             for r, x in enumerate(vecv):
-                out[r] += zj * x
+                if x:
+                    out[r] += zj * x
     return out
 
 
@@ -218,54 +215,41 @@ def _matching_residual(basis, s):
     return None
 
 
-def _build_left_inverse(basis):
-    # t + n independent coordinate rows of the expansion map C: the
-    # pivot columns of C^T. Reducing [C^T | I] gives E with E C^T = R,
-    # whose pivot columns form the identity, so E^T inverts the square
-    # block of C on those rows. coefficients() checks every result it
-    # reads through the inverse, so the inverse itself needs no check.
-    d = basis.dimension
-    width = 7 * basis.tri.size
-    aug = [list(v) + [Fraction(int(i == k)) for i in range(d)]
-           for k, v in enumerate(basis.tet_solutions + basis.edge_solutions)]
-    pivots = rref_in_place(aug, ncols=width)
-    if len(pivots) != d:
-        raise CrossCheckError("expansion map has rank %d, expected %d"
-                              % (len(pivots), d))
-    inverse = [[aug[j][width + k] for j in range(d)] for k in range(d)]
-    return pivots, inverse
-
-
 def coefficients(basis, s):
     """The unique (w, z) with s = sum w W_tet + sum z W_edge.
 
     Rejects vectors outside the solution space, reporting the index of
-    the first matching equation with a nonzero residual. Inside it, the
-    coefficients are read off t + n independent coordinates of s by a
-    left inverse of the expansion map, built once per basis, and their
-    expansion is checked against s.
+    the first matching equation with a nonzero residual. Inside it, each
+    coefficient is read off the discs of one tetrahedron i, and the
+    expansion of the result is checked against s. With T, Q the sums of
+    the triangle and quad coordinates of i, T + 2 Q = -2 w_i. At the
+    first embedding (i, uv) of edge class j, with xy the opposite slot,
+    the quad facing both is -w_i - z_uv - z_xy, and tri_u + tri_v -
+    tri_x - tri_y = 2 (z_uv - z_xy); together they give z_j = z_uv.
     """
     s = [fr(x) for x in s]
-    if len(s) != 7 * basis.tri.size:
-        raise ValueError("expected %d coordinates, got %d"
-                         % (7 * basis.tri.size, len(s)))
+    t = basis.tri.size
+    if len(s) != 7 * t:
+        raise ValueError("expected %d coordinates, got %d" % (7 * t, len(s)))
     bad = _matching_residual(basis, s)
     if bad is not None:
         raise ValueError(
             "vector is outside the solution space: matching equation %d "
             "has residual %s" % bad)
-    if basis._left_inverse is None:
-        basis._left_inverse = _build_left_inverse(basis)
-    pivots, inverse = basis._left_inverse
-    picked = [s[r] for r in pivots]
-    x = [sum((a * b for a, b in zip(row, picked) if a), Fraction(0))
-         for row in inverse]
-    for r, row in enumerate(basis._columns):
-        if sum((a * b for a, b in zip(row, x) if a), Fraction(0)) != s[r]:
-            raise CrossCheckError(
-                "kernel vector not spanned by the verified basis")
-    t = basis.tri.size
-    return WZCoefficients(x[:t], x[t:])
+    tris = [s[3 * t + 4 * i:3 * t + 4 * i + 4] for i in range(t)]
+    w = [-(sum(tris[i]) + 2 * sum(s[3 * i:3 * i + 3])) / 2 for i in range(t)]
+    z = []
+    for e in basis.tri.edges:
+        i, slot = e.embeddings[0]
+        (u, v), (x, y) = EDGE_VERTICES[slot], EDGE_VERTICES[5 - slot]
+        c = tris[i]
+        z.append(((c[u] + c[v] - c[x] - c[y]) / 2
+                  - s[3 * i + QUAD_AT_EDGE[slot]] - w[i]) / 2)
+    co = WZCoefficients(w, z)
+    if expand(basis, co) != s:
+        raise CrossCheckError(
+            "kernel vector not spanned by the verified basis")
+    return co
 
 
 def boundary_arc_count(tri, kind, tet, slot):

@@ -10,30 +10,26 @@ and adjacency is decided combinatorially from those masks. A brute
 force support enumeration is kept as an oracle.
 """
 
-from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
 from .errors import CrossCheckError
 from .linalg import _rank_mod, fr, matvec, nullspace, primitive, rank
-from .normal import (WZCoefficients, _matching_residual, coefficients,
-                     verify_basis)
+from .normal import _matching_residual, verify_basis
 
 
 class VertexSolution:
     """An extreme ray of the nonnegative solution cone.
 
-    vector is the primitive integer form and coefficients its (w, z)
-    coefficients over the tetrahedral and edge solutions. support_rank
-    is the rank of the kernel parametrisation restricted to the zero
-    set; extremality is support_rank == dimension - 1.
+    vector is the primitive integer form. support_rank is the rank of
+    the kernel parametrisation restricted to the zero set; extremality
+    is support_rank == dimension - 1.
     """
 
-    def __init__(self, vector, dimension, support_rank, coefficients):
+    def __init__(self, vector, dimension, support_rank):
         self.vector = tuple([int(x) for x in vector])
         self.dimension = dimension
         self.support_rank = support_rank
-        self.coefficients = coefficients
 
     def __repr__(self):
         return "VertexSolution(%s)" % (list(self.vector),)
@@ -42,7 +38,8 @@ class VertexSolution:
 def _constraint_rows(basis):
     # row r is the integer linear functional giving coordinate r of the
     # solution in terms of kernel basis coefficients
-    return [[int(x) for x in row] for row in basis._columns]
+    vectors = basis.tet_solutions + basis.edge_solutions
+    return [[int(x) for x in row] for row in zip(*vectors)]
 
 
 def _sorted_rows(rows):
@@ -167,16 +164,14 @@ def enumerate_vertices(tri, basis=None):
                     new_rays.append([x // g for x in ray])
                     new_masks.append(common | bit)
         rays, masks = new_rays, new_masks
-    t = basis.tri.size
-    out = {}
+    out = set()
     for c in rays:
         x = [sum(a * y for a, y in zip(row, c)) for row in rows]
         if any(v < 0 for v in x) or not any(x):
             raise CrossCheckError(
                 "double description emitted a ray outside the cone")
         g = gcd(*x)
-        out.setdefault(tuple([v // g for v in x]),
-                       [Fraction(y, g) for y in c])
+        out.add(tuple([v // g for v in x]))
     result = []
     for vec in sorted(out):
         zero_rows = [rows[i] for i, v in enumerate(vec) if v == 0]
@@ -184,9 +179,7 @@ def enumerate_vertices(tri, basis=None):
         if srank != d - 1:
             raise CrossCheckError(
                 "double description emitted a non extreme ray")
-        co = out[vec]
-        result.append(VertexSolution(vec, d, srank,
-                                     WZCoefficients(co[:t], co[t:])))
+        result.append(VertexSolution(vec, d, srank))
     return result
 
 
@@ -224,8 +217,7 @@ def support_enumeration_vertices(tri, basis=None):
     result = []
     for vec in sorted(found):
         zero_rows = [rows[i] for i, v in enumerate(vec) if v == 0]
-        result.append(VertexSolution(vec, d, rank(zero_rows),
-                                     coefficients(basis, vec)))
+        result.append(VertexSolution(vec, d, rank(zero_rows)))
     return result
 
 

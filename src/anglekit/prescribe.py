@@ -24,8 +24,7 @@ from .linalg import (dot, fr, is_zero_vec, matvec, matmul, nullspace,
 from .normal import TRI_CORNER_EDGES, WZCoefficients, chi_star, coefficients, \
     expand, verify_basis, vertex_link_vector
 from .angles import (Decision, RouteRecord, angle_matrix, _exact_route,
-                     _witness_dimension)
-from .polytope import enumerate_vertices
+                     _vertex_criterion, _witness_dimension)
 from .triangulation import EDGE_INDEX, EDGE_VERTICES, vertex_link_surface
 
 # wedge slot w runs along tetrahedron edge WEDGE_TO_EDGE[w]; opposite
@@ -156,33 +155,19 @@ def b_system(tri, ac):
     return rows, rhs
 
 
-def chi_ak(tri, basis, ac, s, wz=None):
+def chi_ak(tri, basis, ac, s):
     """chi of s relative to the prescription: half the triangle
     coordinates paired with the areas plus the edge coefficients of s
     paired with the curvatures.
 
     Linear in s; rejects vectors outside the solution space (the edge
     coefficients only exist there). With the zero prescription it
-    vanishes identically. wz, when given, are the (w, z) coefficients
-    of s already known; they are checked to expand to s instead of
-    being solved for.
+    vanishes identically.
     """
     s = [fr(x) for x in s]
-    if wz is None:
-        co = coefficients(basis, s)
-    elif expand(basis, wz) == s:
-        co = wz
-    else:
-        raise CrossCheckError("coefficients do not expand to the vector")
-    t = tri.size
-    total = Fraction(0)
-    for i in range(t):
-        for k in range(4):
-            total += s[3 * t + 4 * i + k] * ac.area(i, k)
-    total = total / 2
-    for j, z in enumerate(co.z):
-        total += z * ac.curvature(j)
-    return total
+    co = coefficients(basis, s)
+    return (dot(s[3 * tri.size:], ac.areas) / 2
+            + dot(co.z, ac.curvatures))
 
 
 def induced_area_curvature(tri, wa):
@@ -373,17 +358,8 @@ def _chi_conditions(tri, basis, ac, kind):
             return False
     if kind == "generalised":
         return True
-    t = tri.size
-    for vs in enumerate_vertices(tri, basis):
-        value = chi_ak(tri, basis, ac, vs.vector, vs.coefficients)
-        star = chi_star(tri, vs.vector)
-        if kind == "semi":
-            if star > value:
-                return False
-        else:
-            if any(q > 0 for q in vs.vector[:3 * t]) and star >= value:
-                return False
-    return True
+    return _vertex_criterion(tri, basis, kind,
+                             lambda s: chi_ak(tri, basis, ac, s))
 
 
 def decide_prescribed(tri, ac, kind):

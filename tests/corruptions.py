@@ -21,11 +21,10 @@ from anglekit.angles import decide, farkas_to_normal
 from anglekit.errors import CrossCheckError
 from anglekit.linalg import dot
 from anglekit.lp import LPResult, _recheck, solve_lp
-from anglekit.normal import (DiscTypeIndex, WZCoefficients, coefficients,
+from anglekit.normal import (DiscTypeIndex, coefficients, edge_solution,
                              verify_basis)
 from anglekit.polytope import enumerate_vertices
-from anglekit.prescribe import (AreaCurvature, chi_ak, decide_prescribed,
-                                dual_to_normal)
+from anglekit.prescribe import AreaCurvature, decide_prescribed, dual_to_normal
 from anglekit.triangulation import Triangulation, build
 from corpus import shipped
 
@@ -60,25 +59,14 @@ def dual_certificate_with_corrupted_pairing():
         dual_to_normal(ex46, verify_basis(ex46), ac, hz, "semi")
 
 
-def vertex_solution_with_corrupted_coefficient():
+def coefficients_with_corrupted_basis():
     fig8 = shipped("fig8")
     basis = verify_basis(fig8)
-    vs = enumerate_vertices(fig8, basis)[0]
-    z = list(vs.coefficients.z)
-    z[0] += 1
-    chi_ak(fig8, basis, AreaCurvature.zero(fig8), vs.vector,
-           WZCoefficients(vs.coefficients.w, z))
-
-
-def coefficients_with_corrupted_left_inverse():
-    fig8 = shipped("fig8")
-    basis = verify_basis(fig8)
-    vector = enumerate_vertices(fig8, basis)[0].vector
+    vector = edge_solution(fig8, 0)
     coefficients(basis, vector)
-    # the picked coordinates of a nonzero nonnegative vector sum to a
-    # positive number, so shifting a whole row moves that coefficient
-    row = basis._left_inverse[1][0]
-    row[:] = [x + 1 for x in row]
+    # the coefficients are read off the vector alone; only their
+    # expansion over the basis can notice the change
+    basis.edge_solutions[0][0] += 1
     coefficients(basis, vector)
 
 
@@ -142,8 +130,7 @@ def triangle_slot_out_of_range():
 CASES = (farkas_certificate_with_corrupted_basis,
          farkas_certificate_with_corrupted_chi_star,
          dual_certificate_with_corrupted_pairing,
-         vertex_solution_with_corrupted_coefficient,
-         coefficients_with_corrupted_left_inverse,
+         coefficients_with_corrupted_basis,
          vertex_enumeration_with_short_ranks,
          edge_traces_that_overlap,
          link_sides_that_do_not_match,

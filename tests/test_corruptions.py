@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -36,3 +37,18 @@ def test_corruptions_still_raise_under_optimize_flag():
                           for c in corruptions.CASES]
                          + ["%s ValueError" % c.__name__
                             for c in corruptions.ARGUMENT_CASES])
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert statements, so a check written as one
+    # would stop guarding verdicts under that flag
+    package = os.path.join(SRC, "anglekit")
+    found = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), name)
+        found += ["%s:%d" % (name, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert found == []

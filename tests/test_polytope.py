@@ -6,8 +6,8 @@ import pytest
 import anglekit.polytope as polytope
 from anglekit.errors import CrossCheckError
 from anglekit.linalg import _rank_mod, dot, matvec, primitive, rank
-from anglekit.normal import (chi_star, expand, matching_matrix, verify_basis,
-                             vertex_link_vector)
+from anglekit.normal import (chi_star, coefficients, expand, matching_matrix,
+                             verify_basis, vertex_link_vector)
 from anglekit.polytope import (_constraint_rows, _initial_cone, _sorted_rows,
                                enumerate_vertices, is_vertex,
                                support_enumeration_vertices)
@@ -132,7 +132,8 @@ def test_carried_coefficients_expand_to_the_vector(ex46, fig8, valid_corpus):
     for tri in valid_corpus[::6] + [ex46, fig8, cyclic_cover(2)]:
         basis = verify_basis(tri)
         for vs in enumerate_vertices(tri, basis):
-            assert expand(basis, vs.coefficients) == list(vs.vector)
+            co = coefficients(basis, vs.vector)
+            assert expand(basis, co) == list(vs.vector)
 
 
 def test_short_modular_ranks_fall_back_to_exact(monkeypatch):

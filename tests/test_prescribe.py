@@ -6,10 +6,8 @@ from hypothesis import strategies as st
 
 from anglekit.angles import RouteRecord, decide
 from anglekit.cwsurface import cell_area, gauss_bonnet_check
-from anglekit.errors import CrossCheckError
 from anglekit.linalg import dot, nullspace, transpose
-from anglekit.normal import WZCoefficients, chi_star, expand, verify_basis
-from anglekit.polytope import enumerate_vertices
+from anglekit.normal import chi_star, expand, verify_basis
 from anglekit.prescribe import (EDGE_TO_WEDGE, AreaCurvature,
                                 WedgeAssignment, b_system, chi_ak,
                                 decide_prescribed, induced_area_curvature,
@@ -119,29 +117,6 @@ def test_zero_data_kills_chi_ak(fig8):
     ac = AreaCurvature.zero(fig8)
     s = expand(basis, ([1, -2], [3, Fraction(1, 2)]))
     assert chi_ak(fig8, basis, ac, s) == 0
-
-
-@given(st.data())
-def test_chi_ak_with_carried_coefficients(ex46, fig8, data):
-    tri = data.draw(st.sampled_from([ex46, fig8]))
-    basis = verify_basis(tri)
-    ac = AreaCurvature(
-        tri, [data.draw(rationals) for _ in range(4 * tri.size)],
-        [data.draw(rationals) for _ in range(len(tri.edges))])
-    for vs in enumerate_vertices(tri, basis):
-        assert (chi_ak(tri, basis, ac, vs.vector, vs.coefficients)
-                == chi_ak(tri, basis, ac, vs.vector))
-
-
-def test_chi_ak_rejects_corrupted_coefficients(fig8):
-    basis = verify_basis(fig8)
-    ac = AreaCurvature.zero(fig8)
-    for vs in enumerate_vertices(fig8, basis):
-        w = list(vs.coefficients.w)
-        w[-1] += Fraction(1, 3)
-        with pytest.raises(CrossCheckError, match="do not expand"):
-            chi_ak(fig8, basis, ac, vs.vector,
-                   WZCoefficients(w, vs.coefficients.z))
 
 
 def test_induced_flat_figure_eight(fig8):
