@@ -9,12 +9,13 @@ the vertex-solution criterion, and insists the two verdicts agree.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import CrossCheckError
 from .linalg import fr, matvec, rank, solve, vec
 from .lp import solve_lp
-from .normal import (QUAD_AT_EDGE, WZCoefficients, chi_star, expand,
-                     verify_basis)
+from .normal import (QUAD_AT_EDGE, WZCoefficients, chi_star,
+                     chi_star_weights, expand, verify_basis)
 from .polytope import enumerate_vertices
 
 
@@ -297,17 +298,29 @@ def _semi_dimension(a, b, x):
     return cols - rank(a + pins)
 
 
-def _vertex_criterion(tri, basis, kind, bound):
-    """The chi* criterion over the vertex solutions: for semi, chi*
-    minus bound(s) is at most 0 at every vertex solution s; for strict,
-    it is below 0 at every vertex solution with a positive quad."""
+def _vertex_criterion(tri, basis, kind, weights):
+    """The chi* criterion over the vertex solutions, for one linear
+    functional given by its rational weights over the 7t disc types
+    (chi* for decide, chi* minus chi_ak for a prescription). For semi
+    the functional is at most 0 at every vertex solution; for strict it
+    is below 0 at every vertex solution with a positive quad.
+
+    The weights are scaled once by the lcm of their denominators, a
+    positive factor that keeps every sign, so each vertex solution costs
+    one sparse integer dot product. Vertex solutions are rows . c over
+    the verified basis, so they lie in the solution space, where the
+    weights of the callers agree with the functionals they stand for.
+    """
     t = tri.size
+    scale = lcm(*[w.denominator for w in weights])
+    sparse = [(i, w.numerator * (scale // w.denominator))
+              for i, w in enumerate(weights) if w]
     for vs in enumerate_vertices(tri, basis):
         s = vs.vector
         if kind == "strict" and not any(s[:3 * t]):
             continue
-        excess = chi_star(tri, s) - bound(s)
-        if excess > 0 or (kind == "strict" and excess == 0):
+        value = sum([w * s[i] for i, w in sparse])
+        if value > 0 or (kind == "strict" and value == 0):
             return False
     return True
 
@@ -354,7 +367,8 @@ def decide(tri, kind):
             skipped = "an edge class is identified with itself in reverse"
         else:
             basis = verify_basis(tri)
-            criterion = _vertex_criterion(tri, basis, kind, lambda s: 0)
+            criterion = _vertex_criterion(tri, basis, kind,
+                                          chi_star_weights(tri))
     if criterion is not None and criterion != feasible:
         raise CrossCheckError(
             "%s: LP says %s but the classification criterion says %s"

@@ -34,7 +34,8 @@ from fractions import Fraction
 from .angles import decide
 from .cwsurface import gauss_bonnet_check, realize
 from .errors import CrossCheckError
-from .normal import (chi_star, edge_solution, tet_solution,
+from .linalg import dot
+from .normal import (chi_star, chi_star_weights, edge_solution, tet_solution,
                      verify_basis, vertex_link_vector)
 from .polytope import enumerate_vertices
 from .prescribe import AreaCurvature, decide_prescribed
@@ -382,20 +383,21 @@ def run(command, path, options):
             values = _parse_vector(options["vector"], tri)
             report["chi_star"] = Fraction(chi_star(tri, values))
         else:
+            weights = chi_star_weights(tri)
             report["chi_star"] = {
-                "tetrahedral": [Fraction(chi_star(tri, tet_solution(tri, i)))
+                "tetrahedral": [dot(tet_solution(tri, i), weights)
                                 for i in range(tri.size)],
-                "edge": [Fraction(chi_star(tri, edge_solution(tri, j)))
+                "edge": [dot(edge_solution(tri, j), weights)
                          for j in range(len(tri.edges))],
-                "vertex_links": [
-                    Fraction(chi_star(tri, vertex_link_vector(tri, v)))
-                    for v in tri.vertices],
+                "vertex_links": [dot(vertex_link_vector(tri, v), weights)
+                                 for v in tri.vertices],
             }
     elif command == "vertices":
         found = enumerate_vertices(tri)
+        weights = chi_star_weights(tri)
         report["vertex_solutions"] = [
             {"vector": list(vs.vector),
-             "chi_star": Fraction(chi_star(tri, vs.vector)),
+             "chi_star": dot(vs.vector, weights),
              "support_rank": vs.support_rank}
             for vs in found]
         report["count"] = len(found)

@@ -14,9 +14,10 @@ solution per edge class.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import CrossCheckError
-from .linalg import _rank_mod, fr, rank
+from .linalg import _rank_mod, dot, fr, rank
 from .triangulation import EDGE_INDEX, EDGE_VERTICES, FACE_VERTICES
 
 # Quadrilateral slot m separates the two vertex pairs QUAD_PAIRS[m] and
@@ -57,15 +58,6 @@ class DiscTypeIndex:
         if not 0 <= slot < 4:
             raise ValueError("triangle slot %r out of range" % (slot,))
         return 3 * self.size + 4 * tet + slot
-
-    def decode(self, idx):
-        """(kind, tet, slot) for a flat index, kind in {'quad', 'tri'}."""
-        if not (0 <= idx < 7 * self.size):
-            raise IndexError("disc type index %r out of range" % (idx,))
-        if idx < 3 * self.size:
-            return ("quad", idx // 3, idx % 3)
-        idx -= 3 * self.size
-        return ("tri", idx // 4, idx % 4)
 
 
 def matching_matrix(tri):
@@ -265,25 +257,35 @@ def boundary_arc_count(tri, kind, tet, slot):
     return sum(1 for f in faces if tri.face_gluing(tet, f) is None)
 
 
-def chi_star_disc(tri, kind, tet, slot):
-    """Generalised Euler characteristic weight of one disc type.
+def chi_star_weights(tri):
+    """The chi* weight of every disc type, in flat order (quads first,
+    then triangles).
 
     A triangle counts -(1 + b)/2 plus 1/degree over its three corner
     edges; a quadrilateral counts -(2 + b)/2 plus 1/degree over its four
-    corner edges, where b is the boundary arc count.
+    corner edges, where b is the boundary arc count. chi* is the linear
+    functional with these weights: chi_star is the dot product with
+    this vector, and the vertex-solution criterion reads it as its cost
+    vector.
     """
-    b = boundary_arc_count(tri, kind, tet, slot)
-    if kind == "quad":
-        base = -Fraction(2 + b, 2)
-        corner_edges = QUAD_CORNER_EDGES[slot]
-    else:
-        base = -Fraction(1 + b, 2)
-        corner_edges = TRI_CORNER_EDGES[slot]
-    total = base
-    for es in corner_edges:
-        cls = tri.edges[tri.edge_class_of[(tet, es)]]
-        total += Fraction(1, cls.degree)
-    return total
+    # each weight is one integer over the common denominator 2 h, h the
+    # lcm of the edge degrees, so it costs one Fraction
+    degrees = [e.degree for e in tri.edges]
+    h = lcm(*degrees)
+    quads = []
+    tris = []
+    for tet in range(tri.size):
+        share = [2 * h // degrees[tri.edge_class_of[(tet, es)]]
+                 for es in range(6)]
+        for m, edges in enumerate(QUAD_CORNER_EDGES):
+            b = boundary_arc_count(tri, "quad", tet, m)
+            quads.append(Fraction(sum([share[es] for es in edges])
+                                  - (2 + b) * h, 2 * h))
+        for k, edges in enumerate(TRI_CORNER_EDGES):
+            b = boundary_arc_count(tri, "tri", tet, k)
+            tris.append(Fraction(sum([share[es] for es in edges])
+                                 - (1 + b) * h, 2 * h))
+    return quads + tris
 
 
 def chi_star(tri, s):
@@ -296,16 +298,11 @@ def chi_star(tri, s):
     >>> chi_star(build(1, []), tet_solution(build(1, []), 0))
     Fraction(1, 1)
     """
-    ix = DiscTypeIndex(tri.size)
     s = [fr(x) for x in s]
-    if len(s) != ix.total:
-        raise ValueError("expected %d coordinates, got %d" % (ix.total, len(s)))
-    total = Fraction(0)
-    for i, x in enumerate(s):
-        if x:
-            kind, tet, slot = ix.decode(i)
-            total += x * chi_star_disc(tri, kind, tet, slot)
-    return total
+    if len(s) != 7 * tri.size:
+        raise ValueError("expected %d coordinates, got %d"
+                         % (7 * tri.size, len(s)))
+    return dot(s, chi_star_weights(tri))
 
 
 def vertex_link_vector(tri, v):

@@ -50,11 +50,19 @@ def _sorted_rows(rows):
 
 
 def _initial_cone(rows, order, d):
-    # take the first d independent rows in order. The chosen rows are
-    # kept in one fraction-free echelon form: each stored row is reduced
-    # against those before it, and a candidate, reduced row by row
-    # (Bareiss: every division by the previous pivot is exact), is
-    # independent exactly when something nonzero is left
+    """The first d independent rows in order (chosen), the others (rest)
+    and the d rays of the simplicial cone {c : R c >= 0}, R the chosen
+    rows.
+
+    The rays are the columns of R^-1, read from one fraction-free
+    Gauss-Jordan pass over the integer [R | I], each scaled to a
+    primitive integer vector with R[j] . ray_j > 0. A singular R raises
+    CrossCheckError.
+    """
+    # the chosen rows are kept in one fraction-free echelon form: each
+    # stored row is reduced against those before it, and a candidate,
+    # reduced row by row (Bareiss: every division by the previous pivot
+    # is exact), is independent exactly when something nonzero is left
     chosen = []
     rest = []
     echelon = []    # (pivot column, reduced row)
@@ -81,15 +89,34 @@ def _initial_cone(rows, order, d):
             rest.append(r)
     if len(chosen) != d:
         raise CrossCheckError("kernel parametrisation lost rank")
-    # rays of {c : R c >= 0} for square invertible R: columns of R^-1
+    # Bareiss Gauss-Jordan: after pivot k every row is divided exactly by
+    # the previous pivot, and the pivot rows so far all carry the current
+    # pivot on the diagonal. So [R | I] ends as [p I | p R^-1] (p = +-det R,
+    # row swaps included), and column j of the right block is column j
+    # of R^-1 scaled by p
     square = [rows[i] for i in chosen]
-    rays = []
-    for j in range(d):
-        col = nullspace([square[i] for i in range(d) if i != j])
-        if len(col) != 1:
+    m = [row + [int(i == j) for j in range(d)]
+         for i, row in enumerate(square)]
+    prev = 1
+    for k in range(d):
+        p = next((i for i in range(k, d) if m[i][k]), None)
+        if p is None:
             raise CrossCheckError("initial cone is not simplicial")
-        ray = primitive(col[0])
-        if sum(a * x for a, x in zip(square[j], ray)) < 0:
+        m[k], m[p] = m[p], m[k]
+        pivot = m[k]
+        pv = pivot[k]
+        for i in range(d):
+            if i != k:
+                f = m[i][k]
+                m[i] = [(x * pv - f * y) // prev
+                        for x, y in zip(m[i], pivot)]
+        prev = pv
+    rays = []
+    for j in range(d, 2 * d):
+        col = [row[j] for row in m]
+        g = gcd(*col)
+        ray = [x // g for x in col]
+        if sum(a * x for a, x in zip(square[j - d], ray)) < 0:
             ray = [-x for x in ray]
         rays.append(ray)
     return chosen, rest, rays

@@ -21,8 +21,9 @@ from fractions import Fraction
 from .errors import CrossCheckError
 from .linalg import (dot, fr, is_zero_vec, matvec, matmul, nullspace,
                      transpose, vec)
-from .normal import TRI_CORNER_EDGES, WZCoefficients, chi_star, coefficients, \
-    expand, verify_basis, vertex_link_vector
+from .normal import (QUAD_AT_EDGE, TRI_CORNER_EDGES, WZCoefficients,
+                     chi_star, chi_star_weights, coefficients, expand,
+                     verify_basis, vertex_link_vector)
 from .angles import (Decision, RouteRecord, angle_matrix, _exact_route,
                      _vertex_criterion, _witness_dimension)
 from .triangulation import EDGE_INDEX, EDGE_VERTICES, vertex_link_surface
@@ -349,6 +350,30 @@ def dual_to_normal(tri, basis, ac, hz, violated_kind):
     return DualCertificate(tri, hz, violated_kind, vec, pairing, gap)
 
 
+def _curvature_weights(tri, ac):
+    """The curvature part of chi_ak as sparse weights {disc index:
+    weight} on the solution space.
+
+    The closed form of `coefficients` simplifies to: the edge
+    coefficient z_j is half the weight of s on the first embedding
+    (i, uv) of edge class j, that is on triangles u and v of
+    tetrahedron i and on its two quads that meet edge uv. Each class
+    with a nonzero curvature puts curvature/2 on those four discs.
+    """
+    t = tri.size
+    weights = {}
+    for e, curvature in zip(tri.edges, ac.curvatures):
+        if not curvature:
+            continue
+        i, slot = e.embeddings[0]
+        u, v = EDGE_VERTICES[slot]
+        discs = [3 * t + 4 * i + u, 3 * t + 4 * i + v]
+        discs += [3 * i + m for m in range(3) if m != QUAD_AT_EDGE[slot]]
+        for k in discs:
+            weights[k] = weights.get(k, 0) + curvature / 2
+    return weights
+
+
 def _chi_conditions(tri, basis, ac, kind):
     # vertex links must match chi_ak exactly; for semi and strict the
     # vertex solutions bound it from below as well
@@ -358,8 +383,24 @@ def _chi_conditions(tri, basis, ac, kind):
             return False
     if kind == "generalised":
         return True
-    return _vertex_criterion(tri, basis, kind,
-                             lambda s: chi_ak(tri, basis, ac, s))
+    # the curvature weights must give 0 on every tetrahedral solution and
+    # curvature j on edge solution j; agreement on the verified basis is
+    # agreement on the whole solution space
+    curvature = _curvature_weights(tri, ac)
+    expected = [0] * tri.size + ac.curvatures
+    vectors = basis.tet_solutions + basis.edge_solutions
+    for k, (v, want) in enumerate(zip(vectors, expected)):
+        if sum(x * v[i] for i, x in curvature.items()) != want:
+            raise CrossCheckError(
+                "curvature weights disagree with the edge coefficients "
+                "on basis vector %d" % k)
+    # chi* - chi_ak: half the areas on the triangles, then the curvatures
+    weights = chi_star_weights(tri)
+    for k, area in enumerate(ac.areas, 3 * tri.size):
+        weights[k] -= area / 2
+    for i, x in curvature.items():
+        weights[i] -= x
+    return _vertex_criterion(tri, basis, kind, weights)
 
 
 def decide_prescribed(tri, ac, kind):

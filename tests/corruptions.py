@@ -11,6 +11,7 @@ checks still fire:
 """
 
 import sys
+from fractions import Fraction
 from unittest import mock
 
 import anglekit.angles as angles
@@ -24,7 +25,9 @@ from anglekit.lp import LPResult, _recheck, solve_lp
 from anglekit.normal import (DiscTypeIndex, coefficients, edge_solution,
                              verify_basis)
 from anglekit.polytope import enumerate_vertices
-from anglekit.prescribe import AreaCurvature, decide_prescribed, dual_to_normal
+from anglekit.prescribe import (AreaCurvature, WedgeAssignment,
+                                decide_prescribed, dual_to_normal,
+                                induced_area_curvature)
 from anglekit.triangulation import Triangulation, build
 from corpus import shipped
 
@@ -68,6 +71,23 @@ def coefficients_with_corrupted_basis():
     # expansion over the basis can notice the change
     basis.edge_solutions[0][0] += 1
     coefficients(basis, vector)
+
+
+def chi_conditions_with_corrupted_curvature_weight():
+    fig8 = shipped("fig8")
+    wedges = WedgeAssignment(fig8, [Fraction(k + 1, 7) for k in range(12)])
+    ac, _ = induced_area_curvature(fig8, wedges)   # curvatures -29/7, -3
+    weights = prescribe._curvature_weights
+
+    def shifted(tri, ac):
+        out = weights(tri, ac)
+        out[min(out)] += 1
+        return out
+
+    # the vertex-link check reads chi_ak through coefficients and passes;
+    # only the check of the weights on the basis can notice the shift
+    with mock.patch.object(prescribe, "_curvature_weights", shifted):
+        decide_prescribed(fig8, ac, "semi")
 
 
 def vertex_enumeration_with_short_ranks():
@@ -131,6 +151,7 @@ CASES = (farkas_certificate_with_corrupted_basis,
          farkas_certificate_with_corrupted_chi_star,
          dual_certificate_with_corrupted_pairing,
          coefficients_with_corrupted_basis,
+         chi_conditions_with_corrupted_curvature_weight,
          vertex_enumeration_with_short_ranks,
          edge_traces_that_overlap,
          link_sides_that_do_not_match,

@@ -5,7 +5,7 @@ import pytest
 
 import anglekit.polytope as polytope
 from anglekit.errors import CrossCheckError
-from anglekit.linalg import _rank_mod, dot, matvec, primitive, rank
+from anglekit.linalg import _rank_mod, dot, matvec, nullspace, primitive, rank
 from anglekit.normal import (chi_star, coefficients, expand, matching_matrix,
                              verify_basis, vertex_link_vector)
 from anglekit.polytope import (_constraint_rows, _initial_cone, _sorted_rows,
@@ -185,6 +185,34 @@ def test_initial_cone_picks_the_rows_a_rank_test_picks(ex46, fig8,
         for j, ray in enumerate(rays):
             vals = [dot(rows[i], ray) for i in chosen]
             assert vals[j] > 0 and vals[:j] + vals[j + 1:] == [0] * (d - 1)
+
+
+def nullspace_initial_cone(rows, order, d):
+    """Oracle: the rows a rank test picks, the others in order, and ray
+    j as the one dimensional kernel of the chosen rows but the j-th, by
+    one nullspace call per ray, primitive and positive on row j."""
+    chosen = rank_chosen_rows(rows, order, d)
+    rest = [r for r in order if r not in chosen]
+    square = [rows[i] for i in chosen]
+    rays = []
+    for j in range(d):
+        col = nullspace(square[:j] + square[j + 1:])
+        assert len(col) == 1
+        ray = primitive(col[0])
+        if dot(square[j], ray) < 0:
+            ray = [-x for x in ray]
+        rays.append(ray)
+    return chosen, rest, rays
+
+
+def test_initial_cone_matches_the_nullspace_rule(ex46, fig8, valid_corpus):
+    for tri in valid_corpus + [fig8, ex46, cyclic_cover(2), cyclic_cover(3),
+                               cyclic_cover(3, open_copy=0)]:
+        basis = verify_basis(tri)
+        rows = _constraint_rows(basis)
+        order = _sorted_rows(rows)
+        assert (_initial_cone(rows, order, basis.dimension)
+                == nullspace_initial_cone(rows, order, basis.dimension))
 
 
 def test_initial_cone_rejects_rank_deficient_rows():
