@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import CrossCheckError
-from .linalg import fr, matvec, rank, solve, vec
+from .linalg import _integer_row, fr, rank, solve, vec
 from .lp import solve_lp
 from .normal import (QUAD_AT_EDGE, WZCoefficients, chi_star,
                      chi_star_weights, expand, verify_basis)
@@ -34,13 +34,13 @@ def angle_matrix(tri):
     rows = []
     rhs = []
     for i in range(t):
-        row = [Fraction(0)] * (3 * t)
+        row = [0] * (3 * t)
         for m in range(3):
-            row[3 * i + m] = Fraction(1)
+            row[3 * i + m] = 1
         rows.append(row)
         rhs.append(Fraction(1))
     for e in tri.edges:
-        row = [Fraction(0)] * (3 * t)
+        row = [0] * (3 * t)
         for tet, slot in e.embeddings:
             row[3 * tet + QUAD_AT_EDGE[slot]] += 1
         rows.append(row)
@@ -56,13 +56,18 @@ class AngleAssignment:
         if len(values) != 3 * tri.size:
             raise ValueError("expected %d quad values, got %d"
                              % (3 * tri.size, len(values)))
-        a, b = angle_matrix(tri)
-        res = [x - y for x, y in zip(matvec(a, values), b)]
-        if any(r != 0 for r in res):
-            bad = next(i for i, r in enumerate(res) if r != 0)
-            kind = ("tetrahedron %d" % bad if bad < tri.size
-                    else "edge %s" % tri.edges[bad - tri.size].label)
-            raise ValueError("angle equations fail at %s row" % kind)
+        # the rows of angle_matrix on the values scaled to integers: each
+        # tetrahedron sums to 1, each edge class to 2
+        scale, ints = _integer_row(values)
+        for i in range(tri.size):
+            if sum(ints[3 * i:3 * i + 3]) != scale:
+                raise ValueError(
+                    "angle equations fail at tetrahedron %d row" % i)
+        for e in tri.edges:
+            if sum([ints[3 * tet + QUAD_AT_EDGE[slot]]
+                    for tet, slot in e.embeddings]) != 2 * scale:
+                raise ValueError(
+                    "angle equations fail at edge %s row" % e.label)
         self.tri = tri
         self.values = tuple(values)
         self.is_semi = all(x >= 0 for x in values)
@@ -129,10 +134,14 @@ def farkas_to_normal(basis, dual, violated_kind):
         raise ValueError("zero dual vector certifies nothing")
     wz = WZCoefficients(dual[:t], dual[t:])
     vec = expand(basis, wz)
-    a, _ = angle_matrix(tri)
-    pairing = [-sum(row[q] * y for row, y in zip(a, dual))
-               for q in range(3 * t)]
-    if list(vec[:3 * t]) != pairing:
+    # -(A^T dual) in integers, each column of the angle matrix read off
+    # its tetrahedron row and the edge embeddings facing it
+    scale, ints = _integer_row(dual)
+    pairing = [-ints[q // 3] for q in range(3 * t)]
+    for j, e in enumerate(tri.edges, t):
+        for tet, slot in e.embeddings:
+            pairing[3 * tet + QUAD_AT_EDGE[slot]] -= ints[j]
+    if vec[:3 * t] != [Fraction(x, scale) for x in pairing]:
         raise CrossCheckError(
             "quad part of the combination differs from the dual pairing")
     if violated_kind == "generalised":
@@ -239,9 +248,8 @@ def _exact_route(a, b, kind):
     # x = u + eps * ones with u >= 0: maximising eps over
     # A u + eps (A 1) = b, eps + slack = 1 finds the largest uniform
     # margin; strict solutions exist exactly when it is positive
-    c = [sum(row) for row in a]
-    wide = [list(row) + [c[i], Fraction(0)] for i, row in enumerate(a)]
-    wide.append([Fraction(0)] * cols + [Fraction(1), Fraction(1)])
+    wide = [list(row) + [sum(row), 0] for row in a]
+    wide.append([0] * cols + [1, 1])
     rhs = list(b) + [Fraction(1)]
     cost = [Fraction(0)] * cols + [Fraction(1), Fraction(0)]
     res = solve_lp(wide, rhs, cost)

@@ -1,11 +1,12 @@
 """Exact linear algebra over the rationals.
 
 Matrices are lists of rows and vectors are lists; entries are int or
-Fraction, and a 'p/q' string is read as a Fraction. The elimination
-behind rref, nullspace and solve works on Fraction rows. rank scales
-each row to integers and eliminates fraction-free, and _rank_mod works
-over Z/p. Functions return fresh objects; nothing mutates its input
-unless the name says so.
+Fraction, and a 'p/q' string is read as a Fraction. Exact elimination
+never divides a Fraction: each row is scaled to integers and eliminated
+fraction-free (Bareiss 1968). rank runs forward elimination, and one
+Gauss-Jordan pass (_gauss_jordan) is behind rref, nullspace and solve,
+which read their Fraction results off its integer rows. _rank_mod works
+over Z/p. Functions return fresh objects and never mutate their input.
 """
 
 from fractions import Fraction
@@ -49,52 +50,6 @@ def is_zero_vec(v):
     return all(a == 0 for a in v)
 
 
-def rref_in_place(m, ncols=None):
-    """Reduce m to reduced row echelon form. Returns the pivot column list.
-
-    Pivots are chosen only among the first ncols columns (all by default),
-    so trailing columns can carry an augmented part.
-    """
-    rows = len(m)
-    if rows == 0:
-        return []
-    for i in range(rows):
-        # int rows would hit true division at the pivot step; keep it exact
-        m[i] = [fr(x) for x in m[i]]
-    width = len(m[0])
-    if ncols is None:
-        ncols = width
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, rows):
-            if m[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        if pv != 1:
-            m[r] = [x / pv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return pivots
-
-
-def rref(m):
-    work = [list(row) for row in m]
-    pivots = rref_in_place(work)
-    return work, pivots
-
-
 def _integer_row(row):
     """(s, ints): s the lcm of the denominators of row, ints the entries
     times s."""
@@ -110,39 +65,90 @@ def _integer_row(row):
     return s, [x.numerator * (s // x.denominator) for x in row]
 
 
+def _gauss_jordan(m, ncols):
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of m, rows
+    scaled to integers, pivoting among the first ncols columns in order,
+    each in the first nonzero row at or below the next pivot row.
+
+    With d the k-th pivot, a row after k pivots is d times its row of
+    the rational elimination (times the row's scale), so dividing by the
+    previous pivot is exact. A row with 0 in the pivot column is
+    unchanged rationally, so it is rescaled only when next used: each
+    row keeps the pivot it was last brought to. Returns (rows, pivots,
+    d), all rows brought to the last pivot d: pivot row r is d times row
+    r of the reduced row echelon form, and the pivots and row order are
+    those of the Fraction elimination.
+    """
+    rows = [_integer_row(row)[1] for row in m]
+    level = [1] * len(rows)
+    pivots = []
+    d = 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        level[r], level[pr] = level[pr], level[r]
+        prow = rows[r]
+        if level[r] != d:
+            prow = rows[r] = [x * d // level[r] for x in prow]
+        pv = prow[c]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                prev = level[i]
+                rows[i] = [(x * pv - f * y) // prev for x, y in zip(row, prow)]
+                level[i] = pv
+        level[r] = d = pv
+        pivots.append(c)
+    rows = [row if lv == d else [x * d // lv for x in row]
+            for row, lv in zip(rows, level)]
+    return rows, pivots, d
+
+
+def rref(m):
+    """(reduced row echelon form of m as Fraction rows, pivot columns)."""
+    rows, pivots, d = _gauss_jordan(m, len(m[0]) if m else 0)
+    return [[Fraction(x, d) for x in row] for row in rows], pivots
+
+
 def rank(m):
     """Rank over Q by fraction-free (Bareiss) elimination.
 
     Rows are scaled to integers first. After k pivots every remaining
     entry is a (k+1)-minor of the scaled matrix, so the division by the
-    previous pivot is exact and no gcd is ever taken.
+    previous pivot is exact and no gcd is ever taken. As in
+    _gauss_jordan, a row with 0 in the pivot column is rescaled only
+    when it is next used, so each row carries the pivot it was last
+    brought to.
     """
     work = []
     for row in m:
         ints = _integer_row(row)[1]
         if any(ints):
-            work.append(ints)
+            work.append((ints, 1))
     r = 0
     prev = 1
     c = 0
     while work:
-        piv = None
-        for i, row in enumerate(work):
-            if row[c]:
-                piv = i
-                break
+        piv = next((i for i, (row, _) in enumerate(work) if row[c]), None)
         if piv is not None:
-            prow = work.pop(piv)
+            prow, level = work.pop(piv)
+            if level != prev:
+                prow = [x * prev // level for x in prow]
             pv = prow[c]
             rest = []
-            for row in work:
+            for row, level in work:
                 f = row[c]
-                if f:
-                    row = [(x * pv - f * p) // prev for x, p in zip(row, prow)]
-                elif pv != prev:
-                    row = [x * pv // prev for x in row]
+                if not f:
+                    rest.append((row, level))
+                    continue
+                row = [(x * pv - f * p) // level for x, p in zip(row, prow)]
                 if any(row):
-                    rest.append(row)
+                    rest.append((row, pv))
             work = rest
             prev = pv
             r += 1
@@ -165,11 +171,13 @@ def _rank_mod(rows, p=MERSENNE_61):
     for row in rows:
         r = {}
         for j, x in enumerate(row):
-            if x.denominator != 1:
-                raise ValueError("non-integer entry %s in column %d" % (x, j))
-            x = int(x) % p
             if x:
-                r[j] = x
+                if x.denominator != 1:
+                    raise ValueError("non-integer entry %s in column %d"
+                                     % (x, j))
+                x = int(x) % p
+                if x:
+                    r[j] = x
         while r:
             lead = min(r)
             piv = pivots.get(lead)
@@ -194,15 +202,14 @@ def nullspace(m, ncols=None):
     if not m:
         return [ [Fraction(1) if j == i else Fraction(0) for j in range(ncols)]
                  for i in range(ncols) ]
-    work = [list(row) for row in m]
-    pivots = rref_in_place(work)
+    work, pivots, d = _gauss_jordan(m, len(m[0]))
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fcol in free:
         x = [Fraction(0)] * ncols
         x[fcol] = Fraction(1)
         for r, pcol in enumerate(pivots):
-            x[pcol] = -work[r][fcol]
+            x[pcol] = Fraction(-work[r][fcol], d)
         basis.append(x)
     return basis
 
@@ -215,17 +222,16 @@ def solve(m, b):
     """
     rows = len(m)
     n = len(m[0]) if rows else 0
-    aug = [list(m[i]) + [Fraction(1) if j == i else Fraction(0) for j in range(rows)]
-           + [fr(b[i])] for i in range(rows)]
-    pivots = rref_in_place(aug, ncols=n)
-    for r in range(rows):
-        if all(aug[r][c] == 0 for c in range(n)) and aug[r][n + rows] != 0:
-            scale = aug[r][n + rows]
-            y = [aug[r][n + j] / scale for j in range(rows)]
-            return None, y
+    aug = [list(m[i]) + [int(j == i) for j in range(rows)] + [b[i]]
+           for i in range(rows)]
+    aug, pivots, d = _gauss_jordan(aug, n)
+    # the rows past the pivots vanish on the first n columns
+    for row in aug[len(pivots):]:
+        if row[n + rows]:
+            return None, [Fraction(x, row[n + rows]) for x in row[n:-1]]
     x = [Fraction(0)] * n
     for r, pcol in enumerate(pivots):
-        x[pcol] = aug[r][n + rows]
+        x[pcol] = Fraction(aug[r][n + rows], d)
     return x, None
 
 

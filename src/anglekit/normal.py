@@ -10,14 +10,16 @@ triangles (4 per tetrahedron, slot order).
 The solution space C is the kernel of the matching equations: one
 equation per normal arc class of each glued face pair. It always admits
 the basis made of one tetrahedral solution per tetrahedron and one edge
-solution per edge class.
+solution per edge class. The equations and the basis vectors are int
+lists; expand, coefficients and chi_star scale rational vectors once by
+the lcm of their denominators and compute in integers.
 """
 
 from fractions import Fraction
 from math import lcm
 
 from .errors import CrossCheckError
-from .linalg import _rank_mod, dot, fr, rank
+from .linalg import _integer_row, _rank_mod, fr, rank
 from .triangulation import EDGE_INDEX, EDGE_VERTICES, FACE_VERTICES
 
 # Quadrilateral slot m separates the two vertex pairs QUAD_PAIRS[m] and
@@ -75,7 +77,7 @@ def matching_matrix(tri):
         mp = g.vertex_map
         for a in FACE_VERTICES[g.src_face]:
             b = mp[a]
-            row = [Fraction(0)] * ix.total
+            row = [0] * ix.total
             row[ix.tri(g.src_tet, a)] += 1
             row[ix.quad(g.src_tet, quad_separating(a, g.src_face))] += 1
             row[ix.tri(g.dst_tet, b)] -= 1
@@ -88,11 +90,11 @@ def tet_solution(tri, tet):
     """The tetrahedral solution: -1 on the 3 quadrilaterals of the
     tetrahedron, +1 on its 4 triangles."""
     ix = DiscTypeIndex(tri.size)
-    s = [Fraction(0)] * ix.total
+    s = [0] * ix.total
     for m in range(3):
-        s[ix.quad(tet, m)] = Fraction(-1)
+        s[ix.quad(tet, m)] = -1
     for k in range(4):
-        s[ix.tri(tet, k)] = Fraction(1)
+        s[ix.tri(tet, k)] = 1
     return s
 
 
@@ -101,7 +103,7 @@ def edge_solution(tri, edge):
     triangles meeting it and -1 on the quadrilateral facing it."""
     ix = DiscTypeIndex(tri.size)
     e = tri.edges[edge] if isinstance(edge, int) else edge
-    s = [Fraction(0)] * ix.total
+    s = [0] * ix.total
     for tet, slot in e.embeddings:
         s[ix.quad(tet, QUAD_AT_EDGE[slot])] -= 1
         u, v = EDGE_VERTICES[slot]
@@ -136,11 +138,10 @@ class SolutionBasis:
                                for j in range(len(tri.edges))]
         self.matching = matching_matrix(tri)
         vectors = self.tet_solutions + self.edge_solutions
-        sparse = [[(j, int(x)) for j, x in enumerate(row) if x]
+        sparse = [[(j, x) for j, x in enumerate(row) if x]
                   for row in self.matching]
         for k, v in enumerate(vectors):
-            v = [int(x) for x in v]
-            if any(sum(x * v[j] for j, x in row) for row in sparse):
+            if any(sum([x * v[j] for j, x in row]) for row in sparse):
                 raise CrossCheckError(
                     "basis vector %d violates the matching equations" % k)
         # t + n kernel vectors independent mod p are independent over Q,
@@ -171,37 +172,37 @@ def verify_basis(tri):
 
 
 def expand(basis, coeffs):
-    """The solution vector named by (w, z) coefficients."""
+    """The solution vector named by (w, z) coefficients.
+
+    The basis vectors are integers, so (w, z) is scaled once by the lcm
+    of its denominators, the combination is summed in integers, and
+    each coordinate comes back as a Fraction over that scale.
+    """
     if isinstance(coeffs, WZCoefficients):
         w, z = coeffs.w, coeffs.z
     else:
         w, z = coeffs
-    w = [fr(x) for x in w]
-    z = [fr(x) for x in z]
+    w, z = list(w), list(z)
     if len(w) != basis.tri.size or len(z) != len(basis.tri.edges):
         raise ValueError("expected %d tetrahedral and %d edge coefficients, "
                          "got %d and %d" % (basis.tri.size,
                                             len(basis.tri.edges), len(w),
                                             len(z)))
-    out = [Fraction(0)] * (7 * basis.tri.size)
-    for wi, vecv in zip(w, basis.tet_solutions):
-        if wi:
+    scale, ints = _integer_row(w + z)
+    out = [0] * (7 * basis.tri.size)
+    for c, vecv in zip(ints, basis.tet_solutions + basis.edge_solutions):
+        if c:
             for r, x in enumerate(vecv):
                 if x:
-                    out[r] += wi * x
-    for zj, vecv in zip(z, basis.edge_solutions):
-        if zj:
-            for r, x in enumerate(vecv):
-                if x:
-                    out[r] += zj * x
-    return out
+                    out[r] += c * x
+    return [Fraction(x, scale) for x in out]
 
 
 def _matching_residual(basis, s):
     """(index, residual) of the first matching equation s violates, or
     None inside the solution space."""
     for r, row in enumerate(basis._sparse_matching):
-        res = sum((x * s[j] for j, x in row), Fraction(0))
+        res = sum([x * s[j] for j, x in row])
         if res != 0:
             return r, res
     return None
@@ -218,26 +219,30 @@ def coefficients(basis, s):
     first embedding (i, uv) of edge class j, with xy the opposite slot,
     the quad facing both is -w_i - z_uv - z_xy, and tri_u + tri_v -
     tri_x - tri_y = 2 (z_uv - z_xy); together they give z_j = z_uv.
+    All of this runs in integers, on s times the lcm of its denominators.
     """
     s = [fr(x) for x in s]
     t = basis.tri.size
     if len(s) != 7 * t:
         raise ValueError("expected %d coordinates, got %d" % (7 * t, len(s)))
-    bad = _matching_residual(basis, s)
+    scale, ints = _integer_row(s)
+    bad = _matching_residual(basis, ints)
     if bad is not None:
         raise ValueError(
             "vector is outside the solution space: matching equation %d "
-            "has residual %s" % bad)
-    tris = [s[3 * t + 4 * i:3 * t + 4 * i + 4] for i in range(t)]
-    w = [-(sum(tris[i]) + 2 * sum(s[3 * i:3 * i + 3])) / 2 for i in range(t)]
+            "has residual %s" % (bad[0], Fraction(bad[1], scale)))
+    tris = [ints[3 * t + 4 * i:3 * t + 4 * i + 4] for i in range(t)]
+    # 2 w_i times the scale
+    w2 = [-(sum(tris[i]) + 2 * sum(ints[3 * i:3 * i + 3])) for i in range(t)]
     z = []
     for e in basis.tri.edges:
         i, slot = e.embeddings[0]
         (u, v), (x, y) = EDGE_VERTICES[slot], EDGE_VERTICES[5 - slot]
         c = tris[i]
-        z.append(((c[u] + c[v] - c[x] - c[y]) / 2
-                  - s[3 * i + QUAD_AT_EDGE[slot]] - w[i]) / 2)
-    co = WZCoefficients(w, z)
+        z.append(Fraction(c[u] + c[v] - c[x] - c[y]
+                          - 2 * ints[3 * i + QUAD_AT_EDGE[slot]] - w2[i],
+                          4 * scale))
+    co = WZCoefficients([Fraction(x, 2 * scale) for x in w2], z)
     if expand(basis, co) != s:
         raise CrossCheckError(
             "kernel vector not spanned by the verified basis")
@@ -302,7 +307,11 @@ def chi_star(tri, s):
     if len(s) != 7 * tri.size:
         raise ValueError("expected %d coordinates, got %d"
                          % (7 * tri.size, len(s)))
-    return dot(s, chi_star_weights(tri))
+    # one integer dot product over the two common denominators
+    scale, ints = _integer_row(s)
+    wscale, weights = _integer_row(chi_star_weights(tri))
+    return Fraction(sum([a * b for a, b in zip(ints, weights) if a]),
+                    scale * wscale)
 
 
 def vertex_link_vector(tri, v):
@@ -311,7 +320,7 @@ def vertex_link_vector(tri, v):
     if not isinstance(v, int):
         v = v.index
     ix = DiscTypeIndex(tri.size)
-    s = [Fraction(0)] * ix.total
+    s = [0] * ix.total
     for (tet, c) in tri.vertices[v].corners:
         s[ix.tri(tet, c)] += 1
     return s

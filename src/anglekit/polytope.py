@@ -14,7 +14,8 @@ from itertools import combinations
 from math import gcd
 
 from .errors import CrossCheckError
-from .linalg import _rank_mod, fr, matvec, nullspace, primitive, rank
+from .linalg import (_gauss_jordan, _rank_mod, fr, matvec, nullspace,
+                     primitive, rank)
 from .normal import _matching_residual, verify_basis
 
 
@@ -89,28 +90,14 @@ def _initial_cone(rows, order, d):
             rest.append(r)
     if len(chosen) != d:
         raise CrossCheckError("kernel parametrisation lost rank")
-    # Bareiss Gauss-Jordan: after pivot k every row is divided exactly by
-    # the previous pivot, and the pivot rows so far all carry the current
-    # pivot on the diagonal. So [R | I] ends as [p I | p R^-1] (p = +-det R,
-    # row swaps included), and column j of the right block is column j
-    # of R^-1 scaled by p
+    # fraction-free Gauss-Jordan on [R | I] ends as [p I | p R^-1], p the
+    # last pivot, so column j of the right block is column j of R^-1
+    # scaled by p
     square = [rows[i] for i in chosen]
-    m = [row + [int(i == j) for j in range(d)]
-         for i, row in enumerate(square)]
-    prev = 1
-    for k in range(d):
-        p = next((i for i in range(k, d) if m[i][k]), None)
-        if p is None:
-            raise CrossCheckError("initial cone is not simplicial")
-        m[k], m[p] = m[p], m[k]
-        pivot = m[k]
-        pv = pivot[k]
-        for i in range(d):
-            if i != k:
-                f = m[i][k]
-                m[i] = [(x * pv - f * y) // prev
-                        for x, y in zip(m[i], pivot)]
-        prev = pv
+    m, pivots, _ = _gauss_jordan([row + [int(i == j) for j in range(d)]
+                                  for i, row in enumerate(square)], d)
+    if pivots != list(range(d)):
+        raise CrossCheckError("initial cone is not simplicial")
     rays = []
     for j in range(d, 2 * d):
         col = [row[j] for row in m]

@@ -19,8 +19,8 @@ areas (RouteRecord.promise).
 from fractions import Fraction
 
 from .errors import CrossCheckError
-from .linalg import (dot, fr, is_zero_vec, matvec, matmul, nullspace,
-                     transpose, vec)
+from .linalg import (_integer_row, dot, fr, is_zero_vec, matvec, matmul,
+                     nullspace, transpose, vec)
 from .normal import (QUAD_AT_EDGE, TRI_CORNER_EDGES, WZCoefficients,
                      chi_star, chi_star_weights, coefficients, expand,
                      verify_basis, vertex_link_vector)
@@ -142,13 +142,13 @@ def b_system(tri, ac):
     rhs = []
     for i in range(tri.size):
         for k in range(4):
-            row = [Fraction(0)] * cols
+            row = [0] * cols
             for w in TRI_WEDGES[k]:
-                row[6 * i + w] = Fraction(1)
+                row[6 * i + w] = 1
             rows.append(row)
             rhs.append(1 + ac.area(i, k))
     for e in tri.edges:
-        row = [Fraction(0)] * cols
+        row = [0] * cols
         for tet, slot in e.embeddings:
             row[6 * tet + EDGE_TO_WEDGE[slot]] += 1
         rows.append(row)
@@ -241,33 +241,49 @@ def lift_dual(tri, wz):
     return h + list(wz.z)
 
 
-def pairing_parts(tri, basis, ac, hz):
+def _wedge_rows(tri, hz):
+    """The wedge rows B^T (h, z) of the transposed system, read off the
+    edge embeddings: wedge m of tetrahedron i takes z of the edge class
+    it runs along plus h of the two triangles meeting it. Integer (h,
+    z) give integer rows."""
+    t = tri.size
+    out = []
+    for i in range(t):
+        for m in range(6):
+            k, l = WEDGE_TRIANGLES[m]
+            j = tri.edge_class_of[(i, WEDGE_TO_EDGE[m])]
+            out.append(hz[4 * t + j] + hz[4 * i + k] + hz[4 * i + l])
+    return out
+
+
+def pairing_parts(tri, basis, ac, hz, vec):
     """Decomposition of the pairing of a dual vector against the
     prescribed sums, in pi units.
 
-    Returns (pairing, chi_gap, wedge_term): pairing = (h, z) dotted
-    with the right side of the system, chi_gap = chi*(W) - chi_ak(W)
-    for W the combination of tetrahedral and edge solutions weighted by
-    project_dual(h, z), and wedge_term = half the sum over wedges of
-    the transposed-row value z + h_k + h_l times the two adjacent
-    prescribed areas. pairing == chi_gap + wedge_term identically; on
-    the kernel of the transposed system the wedge term drops out.
+    vec is the combination W of tetrahedral and edge solutions weighted
+    by project_dual(h, z), expand(basis, project_dual(tri, hz)). Returns
+    (pairing, chi_gap, wedge_term): pairing = (h, z) dotted with the
+    right side of the system, chi_gap = chi*(W) - chi_ak(W), and
+    wedge_term = half the sum over wedges of the wedge row z + h_k +
+    h_l times the two adjacent prescribed areas. pairing == chi_gap +
+    wedge_term identically when vec is W; on the kernel of the
+    transposed system the wedge term drops out.
     """
-    rows, rhs = b_system(tri, ac)
     hz = [fr(x) for x in hz]
+    rhs = [1 + a for a in ac.areas]
+    rhs += [(1 if e.on_boundary else 2) - curvature
+            for e, curvature in zip(tri.edges, ac.curvatures)]
     pairing = dot(hz, rhs)
-    wz = project_dual(tri, hz)
-    vec = expand(basis, wz)
     gap = chi_star(tri, vec) - chi_ak(tri, basis, ac, vec)
-    t = tri.size
+    # the wedge rows in integers, over the common denominator of (h, z)
+    scale, ints = _integer_row(hz)
     term = Fraction(0)
-    for i in range(t):
-        for m in range(6):
-            j = tri.edge_class_of[(i, WEDGE_TO_EDGE[m])]
+    for q, value in enumerate(_wedge_rows(tri, ints)):
+        if value:
+            i, m = divmod(q, 6)
             k, l = WEDGE_TRIANGLES[m]
-            value = hz[4 * t + j] + hz[4 * i + k] + hz[4 * i + l]
             term += value * (ac.area(i, k) + ac.area(i, l))
-    return pairing, gap, term / 2
+    return pairing, gap, term / (2 * scale)
 
 
 class DualCertificate:
@@ -312,8 +328,8 @@ def dual_to_normal(tri, basis, ac, hz, violated_kind):
     hz = [fr(x) for x in hz]
     if all(x == 0 for x in hz):
         raise ValueError("zero vector certifies nothing")
-    rows, rhs = b_system(tri, ac)
-    wedge_values = matvec(transpose(rows), hz)
+    # scaled to integers by a positive factor, which keeps every sign
+    wedge_values = _wedge_rows(tri, _integer_row(hz)[1])
     if violated_kind == "generalised":
         if any(x != 0 for x in wedge_values):
             raise ValueError(
@@ -324,7 +340,8 @@ def dual_to_normal(tri, basis, ac, hz, violated_kind):
             raise ValueError("a wedge row of the transposed system is positive")
     if violated_kind == "strict" and all(x == 0 for x in wedge_values):
         raise ValueError("strict obstruction needs a nonzero wedge row")
-    pairing, gap, term = pairing_parts(tri, basis, ac, hz)
+    vec = expand(basis, project_dual(tri, hz))
+    pairing, gap, term = pairing_parts(tri, basis, ac, hz, vec)
     if pairing != gap + term:
         raise CrossCheckError(
             "pairing %s is not chi gap %s plus wedge term %s"
@@ -335,7 +352,6 @@ def dual_to_normal(tri, basis, ac, hz, violated_kind):
         raise ValueError("pairing not positive; no semi obstruction")
     if violated_kind == "strict" and pairing < 0:
         raise ValueError("pairing negative; no strict obstruction")
-    vec = expand(basis, project_dual(tri, hz))
     quads = vec[:3 * t]
     if violated_kind == "generalised":
         if any(x != 0 for x in quads):

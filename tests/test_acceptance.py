@@ -9,8 +9,8 @@ from anglekit.cwsurface import (cell_area, curvature, gauss_bonnet_check,
 from anglekit.linalg import dot, nullspace, rank, transpose
 from anglekit.lp import solve_lp
 from anglekit.normal import (WZCoefficients, chi_star, edge_solution,
-                             matching_matrix, tet_solution, verify_basis,
-                             vertex_link_vector)
+                             expand, matching_matrix, tet_solution,
+                             verify_basis, vertex_link_vector)
 from anglekit.polytope import enumerate_vertices, support_enumeration_vertices
 from anglekit.prescribe import (AreaCurvature, WedgeAssignment, b_system,
                                 chi_ak, decide_prescribed,
@@ -248,5 +248,6 @@ def test_dual_pairing_decomposition(ex46, fig8, unglued):
                 [rand_frac(rng) for _ in range(n)])
             for _ in range(10):
                 hz = [rand_frac(rng) for _ in range(4 * t + n)]
-                pairing, gap, term = pairing_parts(tri, basis, ac, hz)
+                vec = expand(basis, project_dual(tri, hz))
+                pairing, gap, term = pairing_parts(tri, basis, ac, hz, vec)
                 assert pairing == gap + term

@@ -303,7 +303,9 @@ for name in ("fig8", "example_4_6"):
                  ["decide", "--kind", "semi"],
                  ["decide", "--kind", "strict"],
                  ["prescribe", "--kind", "semi", "--data", sys.argv[1]],
-                 ["vertices"], ["basis"]):
+                 ["prescribe", "--kind", "generalised", "--data",
+                  sys.argv[1]],
+                 ["vertices"], ["basis"], ["chi"], ["gb"]):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             status = main(["--json"] + argv + [path])
@@ -332,7 +334,7 @@ def test_cli_reports_identical_under_optimize_flag(tmp_path):
     assert optimized[0] == "optimize 1" and plain[0] == "optimize 0"
     assert optimized[1:] == plain[1:]
     assert sum(line.startswith(("fig8 ", "example_4_6 "))
-               for line in plain) == 12
+               for line in plain) == 18
     assert '"certificate": {' in "\n".join(plain)
 
 

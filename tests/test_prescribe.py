@@ -268,7 +268,8 @@ def test_pairing_identity(ex46, fig8, unglued, data):
         tri, [data.draw(rationals) for _ in range(4 * t)],
         [data.draw(rationals) for _ in range(n)])
     hz = [data.draw(rationals) for _ in range(4 * t + n)]
-    pairing, gap, half_term = pairing_parts(tri, basis, ac, hz)
+    vec = expand(basis, project_dual(tri, hz))
+    pairing, gap, half_term = pairing_parts(tri, basis, ac, hz, vec)
     assert pairing == gap + half_term
 
 
