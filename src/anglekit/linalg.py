@@ -6,7 +6,8 @@ never divides a Fraction: each row is scaled to integers and eliminated
 fraction-free (Bareiss 1968). rank runs forward elimination, and one
 Gauss-Jordan pass (_gauss_jordan) is behind rref, nullspace and solve,
 which read their Fraction results off its integer rows. _rank_mod works
-over Z/p. Functions return fresh objects and never mutate their input.
+over Z/p, and _rank_residues on rows reduced mod p once by _residues.
+Functions return fresh objects and never mutate their input.
 """
 
 from fractions import Fraction
@@ -159,34 +160,45 @@ def rank(m):
 MERSENNE_61 = (1 << 61) - 1
 
 
-def _rank_mod(rows, p=MERSENNE_61):
-    """Rank over the field Z/p of a matrix with integer entries.
+def _residues(row, p=MERSENNE_61):
+    """An integer row mod p, as a sparse {column: residue} dict."""
+    r = {}
+    for j, x in enumerate(row):
+        if x:
+            if x.denominator != 1:
+                raise ValueError("non-integer entry %s in column %d"
+                                 % (x, j))
+            x = int(x) % p
+            if x:
+                r[j] = x
+    return r
 
-    Rows are reduced one at a time against the pivots found so far,
-    stored sparsely by leading column, so sparse input stays cheap.
-    The rank mod p never exceeds the rank over Q; an unlucky prime can
-    only make it smaller.
-    """
+
+def _rank_mod(rows, p=MERSENNE_61):
+    """Rank over the field Z/p of a matrix with integer entries. It never
+    exceeds the rank over Q; an unlucky prime can only make it smaller."""
+    return _rank_residues([_residues(row, p) for row in rows], None, p)
+
+
+def _rank_residues(rows, cap=None, p=MERSENNE_61):
+    """Rank over Z/p of rows from _residues, counted no further than cap.
+
+    Rows are reduced one at a time against the pivots found so far, kept
+    sparse by leading column with the inverse of their leading entry."""
     pivots = {}
     for row in rows:
-        r = {}
-        for j, x in enumerate(row):
-            if x:
-                if x.denominator != 1:
-                    raise ValueError("non-integer entry %s in column %d"
-                                     % (x, j))
-                x = int(x) % p
-                if x:
-                    r[j] = x
+        if len(pivots) == cap:
+            break
+        r = dict(row)
         while r:
             lead = min(r)
             piv = pivots.get(lead)
             if piv is None:
-                inv = pow(r[lead], -1, p)
-                pivots[lead] = {j: x * inv % p for j, x in r.items()}
+                pivots[lead] = (pow(r[lead], -1, p), r)
                 break
-            f = r[lead]
-            for j, x in piv.items():
+            inv, prow = piv
+            f = r[lead] * inv % p
+            for j, x in prow.items():
                 v = (r.get(j, 0) - f * x) % p
                 if v:
                     r[j] = v

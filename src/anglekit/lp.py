@@ -74,7 +74,9 @@ def solve_lp(a_rows, b, c):
     before returning.
     """
     m = len(a_rows)
-    n = len(c) if c else (len(a_rows[0]) if m else 0)
+    n = len(a_rows[0]) if m else len(c)
+    if len(c) != n:
+        raise ValueError("LP has %d columns but %d costs" % (n, len(c)))
     for row in a_rows:
         if len(row) != n:
             raise ValueError("LP row has %d entries, expected %d"

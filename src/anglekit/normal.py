@@ -137,11 +137,11 @@ class SolutionBasis:
         self.edge_solutions = [edge_solution(tri, j)
                                for j in range(len(tri.edges))]
         self.matching = matching_matrix(tri)
+        self._sparse_matching = [[(j, x) for j, x in enumerate(row) if x]
+                                 for row in self.matching]
         vectors = self.tet_solutions + self.edge_solutions
-        sparse = [[(j, x) for j, x in enumerate(row) if x]
-                  for row in self.matching]
         for k, v in enumerate(vectors):
-            if any(sum([x * v[j] for j, x in row]) for row in sparse):
+            if _matching_residual(self, v) is not None:
                 raise CrossCheckError(
                     "basis vector %d violates the matching equations" % k)
         # t + n kernel vectors independent mod p are independent over Q,
@@ -158,7 +158,6 @@ class SolutionBasis:
                     "basis rank %d, kernel dimension %d, expected %d"
                     % (vector_rank, kernel_dim, expected))
         self.dimension = expected
-        self._sparse_matching = sparse
 
     def __repr__(self):
         return "SolutionBasis(t=%d, edges=%d, dim=%d)" % (
@@ -201,8 +200,11 @@ def expand(basis, coeffs):
 def _matching_residual(basis, s):
     """(index, residual) of the first matching equation s violates, or
     None inside the solution space."""
+    # a plain loop: rows have four entries, too few for a comprehension
     for r, row in enumerate(basis._sparse_matching):
-        res = sum([x * s[j] for j, x in row])
+        res = 0
+        for j, x in row:
+            res += x * s[j]
         if res != 0:
             return r, res
     return None

@@ -4,18 +4,19 @@ The nonnegative vectors of the solution space form a pointed rational
 cone. Its extreme rays, scaled to primitive integer vectors, are the
 vertex solutions; scaled to coordinate sum 1 they are the vertices of
 the projective solution space. The enumerator is an integer double
-description pass over the kernel parametrisation: rays are primitive
-integer coefficient vectors, each carries its zero set as a bitmask,
-and adjacency is decided combinatorially from those masks. A brute
-force support enumeration is kept as an oracle.
+description pass in solution coordinates (as in Burton, Math. Comp.
+79, 2010): rays are primitive integer solution vectors, each carries
+its zero set as a bitmask, and adjacency is decided combinatorially
+from those masks. A brute force support enumeration is kept as an
+oracle.
 """
 
 from itertools import combinations
 from math import gcd
 
 from .errors import CrossCheckError
-from .linalg import (_gauss_jordan, _rank_mod, fr, matvec, nullspace,
-                     primitive, rank)
+from .linalg import (_gauss_jordan, _rank_residues, _residues, fr, matvec,
+                     nullspace, primitive, rank)
 from .normal import _matching_residual, verify_basis
 
 
@@ -44,92 +45,77 @@ def _constraint_rows(basis):
 
 
 def _sorted_rows(rows):
-    order = sorted(range(len(rows)),
-                   key=lambda r: (sum(1 for x in rows[r] if x != 0),
-                                  tuple(rows[r])))
-    return order
+    """Indices of the distinct rows, sparsest first, ties broken
+    lexicographically. Identical rows are identical coordinates of every
+    solution, so only the first of each is kept."""
+    first = {}
+    for r, row in enumerate(rows):
+        first.setdefault(tuple(row), r)
+    return sorted(first.values(),
+                  key=lambda r: (sum(1 for x in rows[r] if x != 0),
+                                 tuple(rows[r])))
 
 
 def _initial_cone(rows, order, d):
-    """The first d independent rows in order (chosen), the others (rest)
-    and the d rays of the simplicial cone {c : R c >= 0}, R the chosen
-    rows.
+    """The first d independent rows in order (chosen), the others in
+    order (rest) and the d rays of the simplicial cone cut out by the
+    chosen rows R, as primitive integer solution vectors: ray j is R^-1
+    column j mapped to solution coordinates, so it vanishes on every
+    chosen row but the j-th, where it is positive.
 
-    The rays are the columns of R^-1, read from one fraction-free
-    Gauss-Jordan pass over the integer [R | I], each scaled to a
-    primitive integer vector with R[j] . ray_j > 0. A singular R raises
+    One fraction-free Gauss-Jordan pass over the d kernel basis vectors,
+    their coordinates permuted into order, pivots on the chosen rows;
+    its rows, scaled, are the rays. Fewer than d pivots raise
     CrossCheckError.
     """
-    # the chosen rows are kept in one fraction-free echelon form: each
-    # stored row is reduced against those before it, and a candidate,
-    # reduced row by row (Bareiss: every division by the previous pivot
-    # is exact), is independent exactly when something nonzero is left
-    chosen = []
-    rest = []
-    echelon = []    # (pivot column, reduced row)
-    for r in order:
-        if len(chosen) == d:
-            rest.append(r)
-            continue
-        v = rows[r]
-        prev = 1
-        for col, p in echelon:
-            pv = p[col]
-            f = v[col]
-            if f:
-                v = [(x * pv - f * y) // prev for x, y in zip(v, p)]
-            elif pv != prev:
-                v = [x * pv // prev for x in v]
-            prev = pv
-        for col, x in enumerate(v):
-            if x:
-                chosen.append(r)
-                echelon.append((col, v))
-                break
-        else:
-            rest.append(r)
-    if len(chosen) != d:
+    order = list(order)
+    perm = order + sorted(set(range(len(rows))) - set(order))
+    m, pivots, _ = _gauss_jordan(list(zip(*[rows[i] for i in perm])),
+                                 len(order))
+    if len(pivots) != d:
         raise CrossCheckError("kernel parametrisation lost rank")
-    # fraction-free Gauss-Jordan on [R | I] ends as [p I | p R^-1], p the
-    # last pivot, so column j of the right block is column j of R^-1
-    # scaled by p
-    square = [rows[i] for i in chosen]
-    m, pivots, _ = _gauss_jordan([row + [int(i == j) for j in range(d)]
-                                  for i, row in enumerate(square)], d)
-    if pivots != list(range(d)):
-        raise CrossCheckError("initial cone is not simplicial")
+    chosen = [order[c] for c in pivots]
+    rest = [r for r in order if r not in chosen]
     rays = []
-    for j in range(d, 2 * d):
-        col = [row[j] for row in m]
-        g = gcd(*col)
-        ray = [x // g for x in col]
-        if sum(a * x for a, x in zip(square[j - d], ray)) < 0:
-            ray = [-x for x in ray]
+    for row, c in zip(m, pivots):
+        g = gcd(*row) if row[c] > 0 else -gcd(*row)
+        ray = [0] * len(rows)
+        for i, x in zip(perm, row):
+            ray[i] = x // g
         rays.append(ray)
     return chosen, rest, rays
 
 
-def _support_rank(zero_rows, d):
-    # a nonzero kernel vector of zero_rows bounds rank_Q by d - 1, and
-    # rank_Q >= rank_p, so a modular rank of d - 1 settles extremality;
-    # a short modular rank falls through to exact elimination
-    if _rank_mod(zero_rows) == d - 1:
+def _support_rank(rows, residues, zero, d):
+    """The rank of rows[zero], the zero rows of a vector already checked
+    to be a nonzero solution, if it is d - 1; otherwise a smaller rank.
+
+    The vector is R c with c != 0 in the kernel of its zero rows, so
+    their rank over Q is at most d - 1, and at least their rank mod p
+    (residues: the rows mod p). A modular rank reaching d - 1 settles
+    it, and stops there; a short one, which an unlucky prime can give,
+    falls through to exact elimination.
+    """
+    if _rank_residues([residues[i] for i in zero], d - 1) == d - 1:
         return d - 1
-    return rank(zero_rows)
+    return rank([rows[i] for i in zero])
 
 
 def enumerate_vertices(tri, basis=None):
     """All vertex solutions, in a canonical order.
 
-    Integer double description over the kernel basis: insert the
-    nonnegativity of one coordinate at a time (sparsest rows first, ties
-    broken lexicographically), keeping primitive integer rays and the
-    zero set of each over the rows inserted so far as a bitmask. A
-    positive and a negative ray combine only when they are adjacent: at
-    least d - 2 rows vanish on both, and no third ray vanishes on all of
-    those rows. Every output ray is re-checked to be nonnegative,
-    nonzero and extreme. Output is sorted by primitive vector, so it
-    does not depend on the insertion order.
+    Integer double description in solution coordinates: from the
+    simplicial cone of _initial_cone, insert the nonnegativity of one
+    distinct coordinate row at a time, in the order of _sorted_rows,
+    keeping each ray as a primitive integer solution vector (its value
+    on the inserted row is its own coordinate) and its zero set over
+    the rows inserted so far as a bitmask. A positive and a negative ray
+    combine only when they are adjacent: at least d - 2 rows vanish on
+    both, and no third ray vanishes on all of those rows. Every output
+    ray is re-checked to be nonnegative and nonzero, to satisfy the
+    matching equations and to be extreme (_support_rank). Output is
+    sorted by primitive vector, so it does not depend on the insertion
+    order.
     """
     if basis is None:
         basis = verify_basis(tri)
@@ -143,28 +129,24 @@ def enumerate_vertices(tri, basis=None):
     masks = [full ^ (1 << j) for j in range(d)]
     for k, r in enumerate(rest, d):
         bit = 1 << k
-        a = [(j, x) for j, x in enumerate(rows[r]) if x]
-        vals = [sum(x * ray[j] for j, x in a) for ray in rays]
         pos = []
         neg = []
         new_rays = []
         new_masks = []
-        for i, v in enumerate(vals):
+        for ray, mask in zip(rays, masks):
+            v = ray[r]
             if v > 0:
-                pos.append(i)
-                new_rays.append(rays[i])
-                new_masks.append(masks[i])
+                pos.append((ray, mask))
+                new_rays.append(ray)
+                new_masks.append(mask)
             elif v < 0:
-                neg.append(i)
+                neg.append((ray, mask))
             else:
-                new_rays.append(rays[i])
-                new_masks.append(masks[i] | bit)
-        for ip in pos:
-            mp = masks[ip]
-            rp = rays[ip]
-            vp = vals[ip]
-            for i_n in neg:
-                mn = masks[i_n]
+                new_rays.append(ray)
+                new_masks.append(mask | bit)
+        for rp, mp in pos:
+            vp = rp[r]
+            for rn, mn in neg:
                 common = mp & mn
                 if common.bit_count() < d - 2:
                     continue
@@ -172,24 +154,24 @@ def enumerate_vertices(tri, basis=None):
                     if m & common == common and m != mp and m != mn:
                         break
                 else:
-                    vn = vals[i_n]
-                    ray = [vp * xn - vn * xp for xp, xn in zip(rp, rays[i_n])]
+                    vn = rn[r]
+                    ray = [vp * xn - vn * xp for xp, xn in zip(rp, rn)]
                     g = gcd(*ray)
                     new_rays.append([x // g for x in ray])
                     new_masks.append(common | bit)
         rays, masks = new_rays, new_masks
-    out = set()
-    for c in rays:
-        x = [sum(a * y for a, y in zip(row, c)) for row in rows]
-        if any(v < 0 for v in x) or not any(x):
+    residues = [_residues(row) for row in rows]
+    result = []
+    for vec in sorted(set(map(tuple, rays))):
+        if min(vec) < 0 or not any(vec):
             raise CrossCheckError(
                 "double description emitted a ray outside the cone")
-        g = gcd(*x)
-        out.add(tuple([v // g for v in x]))
-    result = []
-    for vec in sorted(out):
-        zero_rows = [rows[i] for i, v in enumerate(vec) if v == 0]
-        srank = _support_rank(zero_rows, d)
+        if _matching_residual(basis, vec) is not None:
+            raise CrossCheckError(
+                "double description emitted a ray outside the solution "
+                "space")
+        zero = [i for i in order if vec[i] == 0]
+        srank = _support_rank(rows, residues, zero, d)
         if srank != d - 1:
             raise CrossCheckError(
                 "double description emitted a non extreme ray")
@@ -248,5 +230,7 @@ def is_vertex(tri, s, basis=None):
     if _matching_residual(basis, s) is not None:
         return False
     rows = _constraint_rows(basis)
-    zero_rows = [rows[i] for i, v in enumerate(s) if v == 0]
-    return _support_rank(zero_rows, basis.dimension) == basis.dimension - 1
+    zero = [i for i, v in enumerate(s) if v == 0]
+    residues = {i: _residues(rows[i]) for i in zero}
+    d = basis.dimension
+    return _support_rank(rows, residues, zero, d) == d - 1

@@ -92,9 +92,20 @@ def chi_conditions_with_corrupted_curvature_weight():
 
 def vertex_enumeration_with_short_ranks():
     fig8 = shipped("fig8")
-    with mock.patch.object(polytope, "_rank_mod", lambda rows: 0), \
+    with mock.patch.object(polytope, "_rank_residues",
+                           lambda rows, cap: 0), \
             mock.patch.object(polytope, "rank", lambda rows: 0):
         enumerate_vertices(fig8)
+
+
+def vertex_enumeration_with_corrupted_basis():
+    # the rays span the cone of the corrupted basis, so they come out
+    # nonnegative and with zero rows of rank d - 1; only the matching
+    # equations can notice that they left the solution space
+    fig8 = shipped("fig8")
+    basis = verify_basis(fig8)
+    basis.edge_solutions[0][0] += 1
+    enumerate_vertices(fig8, basis)
 
 
 def edge_traces_that_overlap():
@@ -135,6 +146,10 @@ def lp_with_a_short_row():
     solve_lp([[1, 1], [1]], [1, 1], [0, 0])
 
 
+def lp_with_no_costs():
+    solve_lp([[1, 1]], [1], [])
+
+
 def dot_of_unequal_lengths():
     dot([1, 2], [1])
 
@@ -153,12 +168,14 @@ CASES = (farkas_certificate_with_corrupted_basis,
          coefficients_with_corrupted_basis,
          chi_conditions_with_corrupted_curvature_weight,
          vertex_enumeration_with_short_ranks,
+         vertex_enumeration_with_corrupted_basis,
          edge_traces_that_overlap,
          link_sides_that_do_not_match,
          vertex_link_that_is_disconnected,
          lp_result_with_corrupted_dual)
 
 ARGUMENT_CASES = (lp_with_a_short_row,
+                  lp_with_no_costs,
                   dot_of_unequal_lengths,
                   quad_slot_out_of_range,
                   triangle_slot_out_of_range)

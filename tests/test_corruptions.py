@@ -39,16 +39,37 @@ def test_corruptions_still_raise_under_optimize_flag():
                             for c in corruptions.ARGUMENT_CASES])
 
 
+def package_trees():
+    """(file name, parsed module) for each module of the package."""
+    package = os.path.join(SRC, "anglekit")
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name),
+                      encoding="utf-8") as handle:
+                yield name, ast.parse(handle.read(), name)
+
+
 def test_package_has_no_assert_statements():
     # python -O strips assert statements, so a check written as one
     # would stop guarding verdicts under that flag
-    package = os.path.join(SRC, "anglekit")
+    found = ["%s:%d" % (name, node.lineno)
+             for name, tree in package_trees() for node in ast.walk(tree)
+             if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_package_imports_only_the_standard_library():
+    # the runtime is pure standard library; relative imports stay inside
+    # the package
     found = []
-    for name in sorted(os.listdir(package)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(package, name), encoding="utf-8") as handle:
-            tree = ast.parse(handle.read(), name)
-        found += ["%s:%d" % (name, node.lineno) for node in ast.walk(tree)
-                  if isinstance(node, ast.Assert)]
+    for name, tree in package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                tops = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                tops = [node.module.split(".")[0]]
+            else:
+                continue
+            found += ["%s:%d %s" % (name, node.lineno, top) for top in tops
+                      if top not in sys.stdlib_module_names]
     assert found == []

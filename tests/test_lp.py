@@ -325,3 +325,12 @@ def test_right_hand_side_length_mismatch_is_a_value_error():
     # zipping rows with a shorter b would silently drop rows
     with pytest.raises(ValueError, match="2 rows but 1 right-hand sides"):
         solve_lp([[1, 1], [1, 0]], [1], [0, 0])
+
+
+def test_cost_length_mismatch_is_a_value_error():
+    # the column count comes from the rows; a cost vector of another
+    # length is reported as such, not as a bad row or an IndexError
+    for c in ([], [0, 0, 0]):
+        with pytest.raises(ValueError,
+                           match="2 columns but %d costs" % len(c)):
+            solve_lp([[1, 1]], [1], c)

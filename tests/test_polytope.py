@@ -1,17 +1,16 @@
-from fractions import Fraction
 from math import gcd
 
 import pytest
 
 import anglekit.polytope as polytope
 from anglekit.errors import CrossCheckError
-from anglekit.linalg import _rank_mod, dot, matvec, nullspace, primitive, rank
+from anglekit.linalg import dot, matvec, nullspace, primitive, rank
 from anglekit.normal import (chi_star, coefficients, expand, matching_matrix,
                              verify_basis, vertex_link_vector)
 from anglekit.polytope import (_constraint_rows, _initial_cone, _sorted_rows,
                                enumerate_vertices, is_vertex,
                                support_enumeration_vertices)
-from corpus import cyclic_cover
+from corpus import cyclic_cover, shipped
 
 
 def _adjacent(p, q, processed, d):
@@ -29,7 +28,7 @@ def algebraic_dd_vertices(tri):
     basis = verify_basis(tri)
     d = basis.dimension
     rows = _constraint_rows(basis)
-    chosen, rest, rays = _initial_cone(rows, _sorted_rows(rows), d)
+    chosen, rest, rays = nullspace_initial_cone(rows, _sorted_rows(rows), d)
     processed = [rows[i] for i in chosen]
     for r in rest:
         a = rows[r]
@@ -52,6 +51,82 @@ def algebraic_dd_vertices(tri):
         assert all(x >= 0 for x in vec) and any(vec)
         assert rank([rows[i] for i, v in enumerate(vec) if v == 0]) == d - 1
     return sorted(out)
+
+
+def kernel_coefficient_vertices(tri):
+    """(vector, support_rank) of each vertex solution, by the integer
+    double description over the kernel coefficients c, with x = R c,
+    from the coefficient rays of nullspace_initial_cone: every row
+    inserted in order (identical rows included), each row's value on a
+    ray a dot product, the rays projected back and made primitive at the
+    end, and every support rank an exact rank. An oracle for the
+    enumerator in solution coordinates."""
+    basis = verify_basis(tri)
+    d = basis.dimension
+    rows = _constraint_rows(basis)
+    order = sorted(range(len(rows)),
+                   key=lambda r: (sum(1 for x in rows[r] if x != 0),
+                                  tuple(rows[r])))
+    chosen, rest, rays = nullspace_initial_cone(rows, order, d)
+    full = (1 << d) - 1
+    masks = [full ^ (1 << j) for j in range(d)]
+    for k, r in enumerate(rest, d):
+        bit = 1 << k
+        a = [(j, x) for j, x in enumerate(rows[r]) if x]
+        vals = [sum(x * ray[j] for j, x in a) for ray in rays]
+        pos = [i for i, v in enumerate(vals) if v > 0]
+        neg = [i for i, v in enumerate(vals) if v < 0]
+        new_rays = [ray for ray, v in zip(rays, vals) if v >= 0]
+        new_masks = [m | bit if v == 0 else m
+                     for m, v in zip(masks, vals) if v >= 0]
+        for ip in pos:
+            for i_n in neg:
+                common = masks[ip] & masks[i_n]
+                if common.bit_count() < d - 2 or any(
+                        m & common == common and m not in (masks[ip],
+                                                           masks[i_n])
+                        for m in masks):
+                    continue
+                ray = [vals[ip] * xn - vals[i_n] * xp
+                       for xp, xn in zip(rays[ip], rays[i_n])]
+                g = gcd(*ray)
+                new_rays.append([x // g for x in ray])
+                new_masks.append(common | bit)
+        rays, masks = new_rays, new_masks
+    out = set()
+    for c in rays:
+        x = [sum(a * y for a, y in zip(row, c)) for row in rows]
+        assert min(x) >= 0 and any(x)
+        g = gcd(*x)
+        out.add(tuple([v // g for v in x]))
+    return [(vec, rank([rows[i] for i, v in enumerate(vec) if v == 0]))
+            for vec in sorted(out)]
+
+
+KERNEL_ORACLE_CASES = {
+    "fig8": lambda: shipped("fig8"),
+    "example_4_6": lambda: shipped("example_4_6"),
+    "cover2": lambda: cyclic_cover(2),
+    "cover3": lambda: cyclic_cover(3),
+    "cover3_open": lambda: cyclic_cover(3, open_copy=0),
+}
+
+
+def _vertex_records(tri):
+    return [(vs.vector, vs.support_rank) for vs in enumerate_vertices(tri)]
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_ORACLE_CASES))
+def test_matches_the_kernel_coefficient_oracle(name):
+    tri = KERNEL_ORACLE_CASES[name]()
+    assert _vertex_records(tri) == kernel_coefficient_vertices(tri)
+
+
+def test_corpus_matches_the_kernel_coefficient_oracle(valid_corpus):
+    # initial rays left unreduced come out as multiples of vertex
+    # solutions on many of these presentations
+    for tri in valid_corpus:
+        assert _vertex_records(tri) == kernel_coefficient_vertices(tri)
 
 
 def test_known_vertex_solutions(ex46):
@@ -151,7 +226,7 @@ def test_short_modular_ranks_fall_back_to_exact(monkeypatch):
     enumerate_vertices(tri)
     calls = len(exact)
     del exact[:]
-    monkeypatch.setattr(polytope, "_rank_mod", lambda rows: 0)
+    monkeypatch.setattr(polytope, "_rank_residues", lambda rows, cap: 0)
     found = enumerate_vertices(tri)
     assert [vs.vector for vs in found] == want
     assert all(vs.support_rank == vs.dimension - 1 for vs in found)
@@ -180,10 +255,13 @@ def test_initial_cone_picks_the_rows_a_rank_test_picks(ex46, fig8,
         order = _sorted_rows(rows)
         chosen, rest, rays = _initial_cone(rows, order, d)
         assert chosen == rank_chosen_rows(rows, order, d)
-        assert sorted(chosen + rest) == list(range(len(rows)))
+        # one index per distinct row, the first of its copies
+        assert sorted(chosen + rest) == sorted(order) == sorted(
+            {tuple(row): i for i, row in reversed(list(enumerate(rows)))}
+            .values())
         # each initial ray vanishes on every chosen row but its own
         for j, ray in enumerate(rays):
-            vals = [dot(rows[i], ray) for i in chosen]
+            vals = [ray[i] for i in chosen]
             assert vals[j] > 0 and vals[:j] + vals[j + 1:] == [0] * (d - 1)
 
 
@@ -211,8 +289,11 @@ def test_initial_cone_matches_the_nullspace_rule(ex46, fig8, valid_corpus):
         basis = verify_basis(tri)
         rows = _constraint_rows(basis)
         order = _sorted_rows(rows)
+        chosen, rest, rays = nullspace_initial_cone(rows, order,
+                                                    basis.dimension)
+        # the coefficient rays, in solution coordinates
         assert (_initial_cone(rows, order, basis.dimension)
-                == nullspace_initial_cone(rows, order, basis.dimension))
+                == (chosen, rest, [primitive(matvec(rows, c)) for c in rays]))
 
 
 def test_initial_cone_rejects_rank_deficient_rows():

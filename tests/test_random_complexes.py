@@ -8,7 +8,8 @@ weaker kinds: strict implies semi implies generalised.
 Random face pairings seldom have only torus and Klein bottle links, so
 a second strategy draws cusped complexes, where the chi* criterion
 over the vertex solutions runs, and compares it with the criterion
-evaluated vertex by vertex.
+evaluated vertex by vertex; their vertex solutions are compared with
+the kernel-coefficient enumeration of tests/test_polytope.py.
 """
 
 import random
@@ -26,6 +27,7 @@ from anglekit.prescribe import (AreaCurvature, WedgeAssignment,
                                 induced_area_curvature)
 from anglekit.triangulation import build
 from corpus import face_map
+from test_polytope import kernel_coefficient_vertices
 
 KINDS = ("generalised", "semi", "strict")
 PERMS = tuple(permutations(range(3)))
@@ -122,6 +124,8 @@ def test_random_closed_complexes(tri, data):
 def test_criterion_on_random_cusped_complexes(tri, data):
     basis = verify_basis(tri)
     vertices = enumerate_vertices(tri, basis)
+    assert ([(vs.vector, vs.support_rank) for vs in vertices]
+            == kernel_coefficient_vertices(tri))
     wedges = WedgeAssignment(
         tri, [data.draw(rationals) for _ in range(6 * tri.size)])
     induced, _ = induced_area_curvature(tri, wedges)
