@@ -228,23 +228,24 @@ class Decision:
 def _exact_route(a, b, kind):
     """Solve A x = b with the sign kind asks for, exactly.
 
-    Returns (feasible, x, y, violated): a solution x, or a dual y
-    obstructing the kind named by violated. Generalised solves the
+    Returns (feasible, x, y, violated, lp): a solution x, or a dual y
+    obstructing the kind named by violated, and for semi the LP result,
+    whose tableau the semi dimension continues. Generalised solves the
     equations outright, semi runs one LP with zero cost, and strict
     widens the system by a uniform margin.
     """
     if kind == "generalised":
         x, y = solve(a, b)
-        return x is not None, x, y, kind
+        return x is not None, x, y, kind, None
     m = len(a)
     cols = len(a[0])
     if kind == "semi":
         res = solve_lp(a, b, [Fraction(0)] * cols)
         if res.status == "optimal":
-            return True, res.x, None, kind
+            return True, res.x, None, kind, res
         if res.status != "infeasible":
             raise CrossCheckError("semi LP ended %s" % (res.status,))
-        return False, None, res.y, kind
+        return False, None, res.y, kind, None
     # x = u + eps * ones with u >= 0: maximising eps over
     # A u + eps (A 1) = b, eps + slack = 1 finds the largest uniform
     # margin; strict solutions exist exactly when it is positive
@@ -256,44 +257,44 @@ def _exact_route(a, b, kind):
     if res.status == "infeasible":
         # the widened system is solvable whenever a semi solution
         # exists, so this dual is a semi obstruction
-        return False, None, res.y[:m], "semi"
+        return False, None, res.y[:m], "semi", None
     if res.status != "optimal":
         raise CrossCheckError("strict LP ended %s" % (res.status,))
     eps = res.x[cols]
     if eps > 0:
-        return True, [u + eps for u in res.x[:cols]], None, kind
-    return False, None, [-v for v in res.y[:m]], kind
+        return True, [u + eps for u in res.x[:cols]], None, kind, None
+    return False, None, [-v for v in res.y[:m]], kind, None
 
 
-def _witness_dimension(a, b, kind, witness, unit):
+def _witness_dimension(a, kind, witness, unit, lp):
     """Check the sign of a feasible witness of kind, then return the
-    dimension of the solution set it lies in: the semi polytope for
-    semi, the affine solution space otherwise. unit names one value
-    ("angle" or "wedge") in the error."""
+    dimension of the solution set it lies in: the semi polytope, from
+    the semi LP lp, for semi, the affine solution space otherwise. unit
+    names one value ("angle" or "wedge") in the error."""
     if kind == "semi":
         if not witness.is_semi:
             raise CrossCheckError("semi witness has a negative %s" % unit)
-        return _semi_dimension(a, b, witness.values)
+        return _semi_dimension(a, lp)
     if kind == "strict" and not witness.is_strict:
         raise CrossCheckError("strict witness has a nonpositive %s" % unit)
     return len(a[0]) - rank(a)
 
 
-def _semi_dimension(a, b, x):
-    """Dimension of the polytope {x >= 0 : A x = b}, given a point x of it.
+def _semi_dimension(a, lp):
+    """Dimension of the polytope {x >= 0 : A x = b}, given an optimal
+    LP result lp over it.
 
     A coordinate is pinned when it vanishes on the whole polytope. The
-    support of x is not pinned. Maximising the sum of the coordinates
+    support of lp.x is not pinned. Maximising the sum of the coordinates
     not yet seen positive either adds the support of the optimum to the
-    seen set or reaches 0, which pins every unseen coordinate. The
-    affine hull is then cut out by the equations plus those pins.
+    seen set or reaches 0, which pins every unseen coordinate. Each such
+    LP reruns phase 2 of lp's tableau, so phase 1 runs once. The affine
+    hull is then cut out by the equations plus those pins.
     """
     cols = len(a[0])
-    seen = {q for q in range(cols) if x[q] > 0}
+    seen = {q for q in range(cols) if lp.x[q] > 0}
     while len(seen) < cols:
-        cost = [Fraction(0) if q in seen else Fraction(1)
-                for q in range(cols)]
-        res = solve_lp(a, b, cost)
+        res = lp.rerun([0 if q in seen else 1 for q in range(cols)])
         if res.status != "optimal":
             raise CrossCheckError(
                 "semi polytope with a point gave an LP status %r"
@@ -349,7 +350,7 @@ def decide(tri, kind):
     a, b = angle_matrix(tri)
     t = tri.size
     basis = None
-    feasible, x, y, violated = _exact_route(a, b, kind)
+    feasible, x, y, violated, lp = _exact_route(a, b, kind)
 
     # the classification theorems live in the ideal-triangulation
     # setting: closed links and no edge identified with itself in
@@ -388,7 +389,7 @@ def decide(tri, kind):
     dimension = None
     if feasible:
         witness = AngleAssignment(tri, x)
-        dimension = _witness_dimension(a, b, kind, witness, "angle")
+        dimension = _witness_dimension(a, kind, witness, "angle", lp)
         if (kind != "semi" and torus_klein and not inverted
                 and dimension != t + len(tri.vertices)):
             raise CrossCheckError(

@@ -437,7 +437,7 @@ def decide_prescribed(tri, ac, kind):
     rows, rhs = b_system(tri, ac)
     t = tri.size
     n = len(tri.edges)
-    feasible, x, y, violated = _exact_route(rows, rhs, kind)
+    feasible, x, y, violated, lp = _exact_route(rows, rhs, kind)
 
     # an inverted edge shifts chi* of a link vector away from the
     # link's Euler characteristic, so the chi conditions only apply
@@ -473,7 +473,7 @@ def decide_prescribed(tri, ac, kind):
         if induced != ac:
             raise CrossCheckError(
                 "wedge witness does not induce the prescription")
-        dimension = _witness_dimension(rows, rhs, kind, witness, "wedge")
+        dimension = _witness_dimension(rows, kind, witness, "wedge", lp)
         if kind != "semi" and dimension != 2 * t - n + len(tri.vertices):
             raise CrossCheckError(
                 "wedge space dimension %d, expected 2t - n + v = %d"

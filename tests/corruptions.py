@@ -18,7 +18,8 @@ import anglekit.angles as angles
 import anglekit.polytope as polytope
 import anglekit.prescribe as prescribe
 import anglekit.triangulation as triangulation
-from anglekit.angles import decide, farkas_to_normal
+from anglekit.angles import (_semi_dimension, angle_matrix, decide,
+                             farkas_to_normal)
 from anglekit.errors import CrossCheckError
 from anglekit.linalg import dot
 from anglekit.lp import LPResult, _recheck, solve_lp
@@ -108,6 +109,16 @@ def vertex_enumeration_with_corrupted_basis():
     enumerate_vertices(fig8, basis)
 
 
+def semi_dimension_of_an_unbounded_polytope():
+    # fig8's angle equations with a column appended that cancels the
+    # first: moving along both columns at once keeps every equation, so
+    # the sum of the coordinates outside the witness's support has no
+    # maximum over the polytope
+    a, b = angle_matrix(shipped("fig8"))
+    a = [row + [-row[0]] for row in a]
+    _semi_dimension(a, solve_lp(a, b, [0] * len(a[0])))
+
+
 def edge_traces_that_overlap():
     # every edge slot traced to the same single embedding
     with mock.patch.object(Triangulation, "_trace_edge",
@@ -169,6 +180,7 @@ CASES = (farkas_certificate_with_corrupted_basis,
          chi_conditions_with_corrupted_curvature_weight,
          vertex_enumeration_with_short_ranks,
          vertex_enumeration_with_corrupted_basis,
+         semi_dimension_of_an_unbounded_polytope,
          edge_traces_that_overlap,
          link_sides_that_do_not_match,
          vertex_link_that_is_disconnected,

@@ -158,9 +158,8 @@ def test_semi_dimension_matches_per_coordinate_lps(valid_corpus, fig8):
         res = solve_lp(a, b, [0] * len(a[0]))
         if res.status != "optimal":
             continue
-        x = res.x
         dim, pinned = semi_dimension_oracle(a, b)
-        assert _semi_dimension(a, b, x) == dim
+        assert _semi_dimension(a, res) == dim
         compared += 1
         with_pins += bool(pinned)
     assert compared > 20

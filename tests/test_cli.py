@@ -1,19 +1,24 @@
+import contextlib
+import io
 import json
 import os
+import pathlib
 import re
 import subprocess
 import sys
 from fractions import Fraction
 from importlib import resources
+from itertools import permutations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from anglekit import cli
 from anglekit.cli import (CLIError, main, parse, parse_data, rational_string,
                           run, serialize)
 from anglekit.triangulation import build
+from corpus import face_map
 
 
 def data_path(name):
@@ -360,3 +365,70 @@ def test_main_gb_overrides(capsys):
     # a balanced override pair on the ex46 sphere link realizes
     assert main(["gb", "--vertex", "v1", "--curv", "0=2", "--curv", "1=2",
                  data_path("example_4_6")]) in (0, 1)
+
+
+@st.composite
+def gluing_texts(draw):
+    """A file of t <= 2 tetrahedra with some of its faces paired at
+    random, each pair glued through one of the six maps of its faces."""
+    t = draw(st.integers(min_value=1, max_value=2))
+    slots = draw(st.permutations([(i, f) for i in range(t)
+                                  for f in range(4)]))
+    pairs = draw(st.integers(min_value=0, max_value=2 * t))
+    lines = ["tets %d" % t]
+    for (a, f), (b, g) in list(zip(slots[::2], slots[1::2]))[:pairs]:
+        perm = draw(st.sampled_from(tuple(permutations(range(3)))))
+        lines.append("glue %d %d %d %d %s" % (
+            a, f, b, g, "".join(map(str, face_map(f, g, perm)))))
+    return "\n".join(lines).encode()
+
+
+@st.composite
+def mutated_fig8(draw):
+    """fig8.tri with a few bytes replaced, inserted or deleted."""
+    text = bytearray(pathlib.Path(data_path("fig8")).read_bytes())
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        at = draw(st.integers(min_value=0, max_value=len(text) - 1))
+        byte = draw(st.integers(min_value=0, max_value=255)
+                    | st.sampled_from(b"0123 \n-/#"))
+        how = draw(st.sampled_from(("replace", "insert", "delete")))
+        if how == "replace":
+            text[at] = byte
+        elif how == "insert":
+            text.insert(at, byte)
+        else:
+            del text[at]
+    return bytes(text)
+
+
+COMMANDS = (["info"], ["basis"], ["chi"], ["vertices"], ["gb"],
+            ["decide", "--kind", "generalised"], ["decide", "--kind", "semi"],
+            ["decide", "--kind", "strict"],
+            ["prescribe", "--kind", "semi", "--data"],
+            ["prescribe", "--kind", "strict", "--data"])
+
+
+@seed(20261020)
+@settings(max_examples=60)
+@given(gluing_texts() | mutated_fig8(), st.sampled_from(COMMANDS),
+       st.booleans())
+def test_main_exit_contract_on_random_files(tmp_path_factory, text, command,
+                                            as_json):
+    # 0 feasible, 1 infeasible, 2 a clean error: never a traceback, an
+    # internal error or a failed cross-check
+    where = tmp_path_factory.getbasetemp()
+    path = where / "random.tri"
+    path.write_bytes(text)
+    argv = list(command)
+    if argv[-1] == "--data":
+        data = where / "random.ak"
+        data.write_text("area 0 1 1/4\ncurv 0 -1/2\n")
+        argv.append(str(data))
+    out = io.StringIO()
+    err = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(["--json"] * as_json + argv + [str(path)])
+    if status == 2:
+        assert err.getvalue().startswith("error: ")
+    else:
+        assert status in (0, 1) and err.getvalue() == ""

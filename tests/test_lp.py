@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 from unittest import mock
 
@@ -274,17 +275,29 @@ def test_integer_tableau_matches_on_fixed_cases():
 
 def decision_lps():
     """Every LP that decide and decide_prescribed issue on the fixtures,
-    the valid one-tetrahedron corpus and the bounded 3-fold cover."""
+    the valid one-tetrahedron corpus and the bounded 3-fold cover: the
+    solve_lp calls as (rows, b, cost), and the reruns of their tableaux
+    as (rows, b, new cost, result)."""
     issued = []
+    reruns = []
+    rerun = LPResult.rerun
 
     def recording(a_rows, b, c):
         issued.append(([list(row) for row in a_rows], list(b), list(c)))
         return solve_lp(a_rows, b, c)
 
+    def recording_rerun(res, c):
+        got = rerun(res, c)
+        tableau = res._tableau
+        reruns.append(([list(row) for row in tableau.rows], list(tableau.b),
+                       list(c), got))
+        return got
+
     complexes = (one_tet_closed(valid_only=True)
                  + [shipped("fig8"), shipped("example_4_6"),
                     cyclic_cover(3, open_copy=0)])
-    with mock.patch.object(angles, "solve_lp", recording):
+    with mock.patch.object(angles, "solve_lp", recording), \
+            mock.patch.object(LPResult, "rerun", recording_rerun):
         for tri in complexes:
             half = AreaCurvature(tri, [Fraction(1, 3)] * (4 * tri.size),
                                  [Fraction(-1, 2)] * len(tri.edges))
@@ -292,14 +305,59 @@ def decision_lps():
                 decide(tri, kind)
                 decide_prescribed(tri, AreaCurvature.zero(tri), kind)
                 decide_prescribed(tri, half, kind)
-    return issued
+    return issued, reruns
 
 
 def test_integer_tableau_matches_on_decision_lps():
-    issued = decision_lps()
+    issued, reruns = decision_lps()
     assert len(issued) > 250
     statuses = {assert_matches_oracle(*lp).status for lp in issued}
     assert statuses == {"optimal", "infeasible"}
+    # a rerun starts from the basis its system's last LP ended at, so
+    # its x may be another optimal vertex; its status and optimum are
+    # those of the oracle on the same inputs
+    assert len(reruns) > 40
+    for rows, b, c, got in reruns:
+        want = fraction_simplex(rows, b, c)
+        assert (got.status, got.value) == (want.status, want.value)
+
+
+@settings(max_examples=100)
+@given(rational_lps(), st.data())
+def test_rerun_matches_fraction_tableau_on_the_new_cost(lp, data):
+    rows, b, c1 = lp
+    c2 = [Fraction(data.draw(numerators), data.draw(denominators))
+          for _ in c1]
+    first = solve_lp(rows, b, c1)
+    if first.status == "infeasible":
+        with pytest.raises(ValueError, match="no feasible basis"):
+            first.rerun(c2)
+        return
+    got = first.rerun(c2)
+    want = fraction_simplex(rows, b, c2)
+    assert (got.status, got.value) == (want.status, want.value)
+    # and back to the first cost, from wherever the rerun ended
+    again = got.rerun(c1)
+    assert (again.status, again.value) == (first.status, first.value)
+
+
+def test_deciders_leave_no_reference_cycles():
+    # results keep their tableau for reruns; a cycle through them would
+    # outlive each decision until a full collection, which the integer
+    # code seldom triggers
+    complexes = [shipped("fig8"), shipped("example_4_6"), cyclic_cover(2),
+                 cyclic_cover(3, open_copy=0)]
+    gc.collect()
+    gc.disable()
+    try:
+        for tri in complexes:
+            zero = AreaCurvature.zero(tri)
+            for kind in ("generalised", "semi", "strict"):
+                decide(tri, kind)
+                decide_prescribed(tri, zero, kind)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_recheck_accepts_rational_rows():
