@@ -258,13 +258,13 @@ def realize(surface, curvatures, areas):
     rows = []
     rhs = []
     for ci, cell in enumerate(surface.cells):
-        row = [Fraction(0)] * len(ids)
+        row = [0] * len(ids)
         for cid in cell:
             row[col[cid]] += 1
         rows.append(row)
         rhs.append(areas[ci] + (len(cell) - 2))
     for vi, grp in enumerate(surface.vertices):
-        row = [Fraction(0)] * len(ids)
+        row = [0] * len(ids)
         for cid in grp:
             row[col[cid]] += 1
         rows.append(row)

@@ -3,11 +3,13 @@
 Matrices are lists of rows and vectors are lists; entries are int or
 Fraction, and a 'p/q' string is read as a Fraction. Exact elimination
 never divides a Fraction: each row is scaled to integers and eliminated
-fraction-free (Bareiss 1968). rank runs forward elimination, and one
-Gauss-Jordan pass (_gauss_jordan) is behind rref, nullspace and solve,
-which read their Fraction results off its integer rows. _rank_mod works
-over Z/p, and _rank_residues on rows reduced mod p once by _residues.
-Functions return fresh objects and never mutate their input.
+fraction-free (Bareiss 1968) by _pivot_step, the one row update of the
+package, which states the level rule. rank runs it as forward
+elimination, and one Gauss-Jordan pass (_gauss_jordan) is behind rref,
+nullspace and solve, which read their Fraction results off its integer
+rows; the simplex of lp pivots with it too. _rank_mod works over Z/p,
+and _rank_residues on rows reduced mod p once by _residues. The public
+functions return fresh objects and never mutate their input.
 """
 
 from fractions import Fraction
@@ -42,15 +44,6 @@ def matvec(m, v):
     return [dot(row, v) for row in m]
 
 
-def matmul(a, b):
-    bt = transpose(b)
-    return [[dot(row, col) for col in bt] for row in a]
-
-
-def is_zero_vec(v):
-    return all(a == 0 for a in v)
-
-
 def _integer_row(row):
     """(s, ints): s the lcm of the denominators of row, ints the entries
     times s."""
@@ -66,19 +59,45 @@ def _integer_row(row):
     return s, [x.numerator * (s // x.denominator) for x in row]
 
 
-def _gauss_jordan(m, ncols):
-    """Fraction-free (Bareiss) Gauss-Jordan elimination of m, rows
-    scaled to integers, pivoting among the first ncols columns in order,
-    each in the first nonzero row at or below the next pivot row.
+def _pivot_step(rows, level, r, c, d):
+    """One fraction-free (Bareiss) pivot on entry (r, c), in place.
 
-    With d the k-th pivot, a row after k pivots is d times its row of
-    the rational elimination (times the row's scale), so dividing by the
-    previous pivot is exact. A row with 0 in the pivot column is
-    unchanged rationally, so it is rescaled only when next used: each
-    row keeps the pivot it was last brought to. Returns (rows, pivots,
-    d), all rows brought to the last pivot d: pivot row r is d times row
-    r of the reduced row echelon form, and the pivots and row order are
-    those of the Fraction elimination.
+    Row i holds level[i] times its rational row, its level the pivot it
+    was last brought to, and d is the level of the last pivot; every
+    level is positive. Row r is brought to level d and negated if its
+    entry pv in column c is negative. In each other row with an entry f
+    != 0 in column c, each entry x becomes (x pv - f p) / level[i], p
+    the pivot row's entry in the same column: an exact division, since
+    the result is pv times the row's new rational row. Those rows and
+    row r go to level pv; a row with 0 in column c is unchanged
+    rationally and is left alone, to be rescaled only when next used.
+    Returns pv = |pivot| > 0.
+    """
+    prow = rows[r]
+    if level[r] != d:
+        prow = [x * d // level[r] for x in prow]
+    if prow[c] < 0:
+        prow = [-x for x in prow]
+    rows[r] = prow
+    level[r] = pv = prow[c]
+    for i, row in enumerate(rows):
+        f = row[c]
+        if f and i != r:
+            lv = level[i]
+            rows[i] = [(x * pv - f * p) // lv for x, p in zip(row, prow)]
+            level[i] = pv
+    return pv
+
+
+def _gauss_jordan(m, ncols):
+    """Fraction-free Gauss-Jordan elimination of m, rows scaled to
+    integers, pivoting among the first ncols columns in order, each in
+    the first nonzero row at or below the next pivot row: the pivots and
+    row order are those of the Fraction elimination.
+
+    Returns (rows, pivots, d), d > 0 the last pivot step's pivot and
+    every row brought to level d: pivot row r is d times row r of the
+    reduced row echelon form, so it holds d in its pivot column.
     """
     rows = [_integer_row(row)[1] for row in m]
     level = [1] * len(rows)
@@ -93,17 +112,7 @@ def _gauss_jordan(m, ncols):
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         level[r], level[pr] = level[pr], level[r]
-        prow = rows[r]
-        if level[r] != d:
-            prow = rows[r] = [x * d // level[r] for x in prow]
-        pv = prow[c]
-        for i, row in enumerate(rows):
-            f = row[c]
-            if f and i != r:
-                prev = level[i]
-                rows[i] = [(x * pv - f * y) // prev for x, y in zip(row, prow)]
-                level[i] = pv
-        level[r] = d = pv
+        d = _pivot_step(rows, level, r, c, d)
         pivots.append(c)
     rows = [row if lv == d else [x * d // lv for x in row]
             for row, lv in zip(rows, level)]
@@ -117,44 +126,17 @@ def rref(m):
 
 
 def rank(m):
-    """Rank over Q by fraction-free (Bareiss) elimination.
-
-    Rows are scaled to integers first. After k pivots every remaining
-    entry is a (k+1)-minor of the scaled matrix, so the division by the
-    previous pivot is exact and no gcd is ever taken. As in
-    _gauss_jordan, a row with 0 in the pivot column is rescaled only
-    when it is next used, so each row carries the pivot it was last
-    brought to.
-    """
-    work = []
-    for row in m:
-        ints = _integer_row(row)[1]
-        if any(ints):
-            work.append((ints, 1))
-    r = 0
-    prev = 1
-    c = 0
-    while work:
-        piv = next((i for i, (row, _) in enumerate(work) if row[c]), None)
+    """Rank over Q by fraction-free forward elimination: each pivot row
+    is used once by _pivot_step and then dropped."""
+    work = [_integer_row(row)[1] for row in m]
+    level = [1] * len(work)
+    d = 1
+    for c in range(len(work[0]) if work else 0):
+        piv = next((i for i, row in enumerate(work) if row[c]), None)
         if piv is not None:
-            prow, level = work.pop(piv)
-            if level != prev:
-                prow = [x * prev // level for x in prow]
-            pv = prow[c]
-            rest = []
-            for row, level in work:
-                f = row[c]
-                if not f:
-                    rest.append((row, level))
-                    continue
-                row = [(x * pv - f * p) // level for x, p in zip(row, prow)]
-                if any(row):
-                    rest.append((row, pv))
-            work = rest
-            prev = pv
-            r += 1
-        c += 1
-    return r
+            d = _pivot_step(work, level, piv, c, d)
+            del work[piv], level[piv]
+    return len(m) - len(work)
 
 
 MERSENNE_61 = (1 << 61) - 1
@@ -250,7 +232,7 @@ def solve(m, b):
 def primitive(v):
     """Scale v by a positive rational to the integer vector with content 1."""
     v = vec(v)
-    if is_zero_vec(v):
+    if not any(v):
         return [0] * len(v)
     denom = lcm(*[a.denominator for a in v]) if len(v) > 1 else v[0].denominator
     ints = [int(a * denom) for a in v]

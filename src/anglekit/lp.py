@@ -9,16 +9,13 @@ infeasible ones.
 The tableau is kept in integers by integer pivoting (Edmonds 1967;
 Bareiss 1968). Each row of [A | I | b] is multiplied by the lcm of its
 denominators, a positive diagonal left factor, so the rational tableau
-B^-1 [A | I | b] is the same for every basis. Row i holds L_i times its
-rational row, where its level L_i is the basis determinant D (kept
-positive) when the row was last touched: as in linalg._gauss_jordan, a
-row with 0 in the pivot column is left alone. A pivot on pv brings the
-pivot row to level D, sets each entry x of a touched row to (x * pv -
-f * p) / L_i, an exact division, and puts those rows and D at level
-pv; a negative pivot (only an eviction makes one) negates the pivot
-row first. Signs and each ratio rhs_i / e_i read the same at any
-positive level, so the pivots, x = rhs_i / L_i and y, read off the
-objective row at level D, are those of a Fraction tableau.
+B^-1 [A | I | b] is the same for every basis. Row i holds its rational
+row times its own positive level L_i, under the rule of
+linalg._pivot_step (only a phase 1 eviction pivots on a negative
+entry); the last pivot D is the basis determinant up to sign, and the
+objective row stays at level D. Signs and each ratio rhs_i / e_i read
+the same at any positive level, so the pivots, x = rhs_i / L_i and y,
+read off the objective row, are those of a Fraction tableau.
 
 A feasible result keeps its tableau: LPResult.rerun runs phase 2 again
 with another cost from the basis the last phase 2 ended at, so phase 1
@@ -29,7 +26,7 @@ from fractions import Fraction
 from math import lcm, prod
 
 from .errors import CrossCheckError
-from .linalg import _integer_row, dot, fr
+from .linalg import _integer_row, _pivot_step, dot, fr
 
 
 class LPResult:
@@ -132,28 +129,13 @@ class _Tableau:
         self.basis = [n + i for i in range(m)]
 
     def pivot(self, r, col, obj):
-        tab, level, d = self.tab, self.level, self.d
-        prow = tab[r]
-        if level[r] != d:
-            prow = tab[r] = [x * d // level[r] for x in prow]
-        pv = prow[col]
-        if pv < 0:
-            # only an eviction pivot can be negative; the rows it touches
-            # then come out negated too, at the positive level -pv
-            prow = tab[r] = [-x for x in prow]
-            pv = -pv
-        level[r] = pv
-        for i, row in enumerate(tab):
-            f = row[col]
-            if f and i != r:
-                lv = level[i]
-                tab[i] = [(x * pv - f * p) // lv for x, p in zip(row, prow)]
-                level[i] = pv
+        d = self.d
+        pv = _pivot_step(self.tab, self.level, r, col, d)
         if obj is not None:
             # the entering column is negative in the objective row,
             # so every pivot touches it and it stays at level D
             f = obj[col]
-            obj[:] = [(x * pv - f * p) // d for x, p in zip(obj, prow)]
+            obj[:] = [(x * pv - f * p) // d for x, p in zip(obj, self.tab[r])]
         self.basis[r] = col
         self.d = pv
 

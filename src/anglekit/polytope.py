@@ -65,7 +65,8 @@ def _initial_cone(rows, order, d):
 
     One fraction-free Gauss-Jordan pass over the d kernel basis vectors,
     their coordinates permuted into order, pivots on the chosen rows;
-    its rows, scaled, are the rays. Fewer than d pivots raise
+    its rows, each holding the positive level on its own pivot, divided
+    by their content, are the rays. Fewer than d pivots raise
     CrossCheckError.
     """
     order = list(order)
@@ -77,8 +78,8 @@ def _initial_cone(rows, order, d):
     chosen = [order[c] for c in pivots]
     rest = [r for r in order if r not in chosen]
     rays = []
-    for row, c in zip(m, pivots):
-        g = gcd(*row) if row[c] > 0 else -gcd(*row)
+    for row in m:
+        g = gcd(*row)
         ray = [0] * len(rows)
         for i, x in zip(perm, row):
             ray[i] = x // g

@@ -19,8 +19,8 @@ areas (RouteRecord.promise).
 from fractions import Fraction
 
 from .errors import CrossCheckError
-from .linalg import (_integer_row, dot, fr, is_zero_vec, matvec, matmul,
-                     nullspace, transpose, vec)
+from .linalg import (_integer_row, dot, fr, matvec, nullspace, transpose,
+                     vec)
 from .normal import (QUAD_AT_EDGE, TRI_CORNER_EDGES, WZCoefficients,
                      chi_star, chi_star_weights, coefficients, expand,
                      verify_basis, vertex_link_vector)
@@ -487,9 +487,7 @@ def decide_prescribed(tri, ac, kind):
 
 
 class MatrixIdentityReport:
-    def __init__(self, c, d, kernel_dimension):
-        self.c = c
-        self.d = d
+    def __init__(self, kernel_dimension):
         self.kernel_dimension = kernel_dimension
 
     def __repr__(self):
@@ -500,41 +498,28 @@ class MatrixIdentityReport:
 def matrix_identities(tri):
     """Check the matrix bridge between the wedge and quad systems.
 
-    Builds C (the matrix of project_dual) and D (one row per quad type,
-    marking the wedge pair it faces) and verifies D Bt == At C exactly,
+    Verifies D Bt == At C exactly, with C the matrix of project_dual
+    and D the matrix with one row per quad type, marking the wedge pair
+    it faces. Both products are read off their structure: row (i, m) of
+    D Bt sums the rows of Bt of the wedges quad m of tetrahedron i
+    faces, and row q of At C repeats each tetrahedron entry of row q of
+    At over its four triangles and keeps the edge entries. Then checks
     that the transposed kernels have equal dimension, and that
     project_dual and lift_dual are inverse bijections between them.
     Any failure raises CrossCheckError.
     """
     t = tri.size
-    n = len(tri.edges)
     rows_b, _ = b_system(tri, AreaCurvature.zero(tri))
     rows_a, _ = angle_matrix(tri)
     bt = transpose(rows_b)
     at = transpose(rows_a)
-
-    c = []
-    for i in range(t):
-        row = [Fraction(0)] * (4 * t + n)
-        for k in range(4):
-            row[4 * i + k] = Fraction(1)
-        c.append(row)
-    for j in range(n):
-        row = [Fraction(0)] * (4 * t + n)
-        row[4 * t + j] = Fraction(1)
-        c.append(row)
-
-    d = []
-    for i in range(t):
-        for m in range(3):
-            row = [Fraction(0)] * (6 * t)
-            for w in QUAD_FACED_WEDGES[m]:
-                row[6 * i + w] = Fraction(1)
-            d.append(row)
-
-    if matmul(d, bt) != matmul(at, c):
-        raise CrossCheckError("wedge and quad transposes disagree through "
-                              "the projection")
+    for q, row in enumerate(at):
+        i, m = divmod(q, 3)
+        u, v = (bt[6 * i + w] for w in QUAD_FACED_WEDGES[m])
+        if ([x + y for x, y in zip(u, v)]
+                != [row[k // 4] for k in range(4 * t)] + row[t:]):
+            raise CrossCheckError("wedge and quad transposes disagree "
+                                  "through the projection")
 
     kb = nullspace(bt)
     ka = nullspace(at)
@@ -543,15 +528,15 @@ def matrix_identities(tri):
                               % (len(kb), len(ka)))
     for hz in kb:
         wz = project_dual(tri, hz)
-        if not is_zero_vec(matvec(at, list(wz.w) + list(wz.z))):
+        if any(matvec(at, list(wz.w) + list(wz.z))):
             raise CrossCheckError("projected dual left the quad kernel")
         if lift_dual(tri, wz) != hz:
             raise CrossCheckError("lift does not invert the projection")
     for x in ka:
         wz = WZCoefficients(x[:t], x[t:])
         hz = lift_dual(tri, wz)
-        if not is_zero_vec(matvec(bt, hz)):
+        if any(matvec(bt, hz)):
             raise CrossCheckError("lifted dual left the wedge kernel")
         if project_dual(tri, hz) != wz:
             raise CrossCheckError("projection does not invert the lift")
-    return MatrixIdentityReport(c, d, len(kb))
+    return MatrixIdentityReport(len(kb))
